@@ -76,6 +76,7 @@ int main() {
     CompressionParams pz;
     pz.eps = eps;
     pz.quantity = Q_G;
+    pz.coder = Coder::kZlib;
     CompressionParams ps = pz;
     ps.coder = Coder::kSparseZlib;
     Timer tz;

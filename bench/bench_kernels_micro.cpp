@@ -158,15 +158,18 @@ void BM_Weno5(benchmark::State& state) {
 }
 BENCHMARK(BM_Weno5);
 
-void BM_Fwt32(benchmark::State& state) {
-  Field3D<float> cube(32, 32, 32);
-  for (int iz = 0; iz < 32; ++iz)
-    for (int iy = 0; iy < 32; ++iy)
-      for (int ix = 0; ix < 32; ++ix)
+// Production forward FWT of one n^3 cube at full depth, n = the block edge.
+void BM_Fwt(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Field3D<float> cube(n, n, n);
+  for (int iz = 0; iz < n; ++iz)
+    for (int iy = 0; iy < n; ++iy)
+      for (int ix = 0; ix < n; ++ix)
         cube(ix, iy, iz) = static_cast<float>(std::sin(0.2 * ix) + 0.1 * iy);
-  for (auto _ : state) wavelet::forward_3d_simd(cube.view(), 3);
+  const int levels = wavelet::max_levels(n);
+  for (auto _ : state) wavelet::forward_3d_lanes(cube.view(), levels);
 }
-BENCHMARK(BM_Fwt32)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Fwt)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // --json mode: a self-contained timing sweep, written as one JSON document.

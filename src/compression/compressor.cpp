@@ -1,12 +1,11 @@
 #include "compression/compressor.h"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cstring>
 
 #include "common/error.h"
 #include "compression/codec.h"
+#include "compression/pipeline.h"
 
 namespace mpcf::compression {
 
@@ -65,83 +64,9 @@ double CompressedQuantity::compression_rate() const {
 
 CompressedQuantity compress_quantity(const Grid& grid, const CompressionParams& params,
                                      std::vector<WorkerTimes>* times) {
-  const int bs = grid.block_size();
-  validate_compression_params(params, bs);
-  const int levels = params.levels < 0 ? wavelet::max_levels(bs) : params.levels;
-  const Codec& codec = codec_for(params.coder);
-
-  CompressedQuantity cq;
-  cq.bx = grid.blocks_x();
-  cq.by = grid.blocks_y();
-  cq.bz = grid.blocks_z();
-  cq.block_size = bs;
-  cq.levels = levels;
-  cq.eps = params.eps;
-  cq.derived_pressure = params.derive_pressure;
-  cq.quantity = params.quantity;
-  cq.coder = params.coder;
-
-  // Streams are sized for the maximum team; the runtime may grant fewer
-  // threads, and threads past the block count contribute nothing — both
-  // cases are pruned below so no empty stream reaches the file pipeline.
-  const int nthreads = omp_get_max_threads();
-  cq.streams.resize(nthreads);
-  if (times) {
-    times->clear();
-    times->resize(nthreads);
-  }
-  const std::size_t cube_floats = static_cast<std::size_t>(bs) * bs * bs;
-  int team_size = nthreads;
-
-#pragma omp parallel
-  {
-    const int tid = omp_get_thread_num();
-    require(tid < static_cast<int>(cq.streams.size()),
-            "compress_quantity: thread id exceeds stream count");
-#pragma omp single
-    team_size = omp_get_num_threads();
-    auto& stream = cq.streams[tid];
-    // Dedicated per-thread decimation buffer (paper Section 5): coefficient
-    // cubes of all blocks this worker processes, concatenated.
-    std::vector<std::uint8_t> buffer;
-    Field3D<float> cube(bs, bs, bs);
-    Timer t;
-
-#pragma omp for schedule(dynamic, 1)
-    for (int i = 0; i < grid.block_count(); ++i) {
-      gather_block_quantity(grid.block(i), bs, params, cube.data());
-      wavelet::forward_3d_simd(cube.view(), levels);
-      wavelet::decimate(cube.view(), levels, params.eps, params.mode);
-      // mpcf-lint: allow(reinterpret-cast): float->byte view of the decimated cube for the entropy coder
-      const auto* bytes = reinterpret_cast<const std::uint8_t*>(cube.data());
-      buffer.insert(buffer.end(), bytes, bytes + cube_floats * sizeof(float));
-      stream.block_ids.push_back(static_cast<std::uint32_t>(i));
-    }
-    if (times) (*times)[tid].dec = t.seconds();
-
-    // Encode the concatenated stream in one shot: detail coefficients of
-    // adjacent blocks assume similar ranges, so a single stream compresses
-    // better than per-block encoding (paper Section 5). The entropy stage is
-    // the pluggable codec selected per quantity (codec.h).
-    t.restart();
-    if (!buffer.empty()) {
-      // mpcf-lint: allow(reinterpret-cast): byte->float view; buffer holds packed float cubes by construction
-      const auto* floats = reinterpret_cast<const float*>(buffer.data());
-      EncodedStream es =
-          codec.encode(floats, buffer.size() / sizeof(float), params.zlib_level);
-      stream.raw_bytes = es.raw_bytes;
-      stream.data = std::move(es.data);
-    }
-    if (times) (*times)[tid].enc = t.seconds();
-  }
-
-  // Report only the workers that actually ran, and drop streams that carry
-  // no blocks (idle workers): empty streams would otherwise travel through
-  // the collective file pipeline as zero-byte blobs.
-  if (times) times->resize(team_size);
-  std::erase_if(cq.streams, [](const CompressedQuantity::Stream& s) {
-    return s.block_ids.empty();
-  });
+  PipelineStats stats;
+  CompressedQuantity cq = compress_quantity_pipelined(grid, params, &stats);
+  if (times) *times = std::move(stats.worker_times);
   return cq;
 }
 

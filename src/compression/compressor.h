@@ -2,15 +2,17 @@
 //
 //   per block:   in-place forward wavelet transform  (FWT)
 //                lossy decimation of small details   (DEC)
-//   per thread:  concatenation of the surviving coefficient cubes into a
-//                dedicated buffer, lossless encoding of the whole stream
-//                with zlib                           (ENC)
+//   per chunk:   concatenation of the surviving coefficient cubes of a
+//                fixed block range into one buffer, lossless encoding of
+//                the whole stream by the selected codec (ENC; default: the
+//                zero-run significance coder, then zlib)
 //   per rank:    one global buffer of encoded streams, written collectively
 //                (see cluster::write_compressed_collective)
 //
 // Dumps are performed for one quantity at a time (pressure and Gamma in the
 // production runs) to cap the memory overhead at ~10% of the simulation
-// footprint; parallel granularity is one block.
+// footprint; parallel granularity is one chunk of blocks. The stages run in
+// the pipelined stage graph of pipeline.h, the only compressor.
 #pragma once
 
 #include <cstdint>
@@ -28,15 +30,17 @@ struct CompressionParams {
   wavelet::ThresholdMode mode = wavelet::ThresholdMode::kUniform;
   int levels = -1;     ///< wavelet levels; -1 = maximum for the block size
   int zlib_level = 6;  ///< zlib effort (-1 default, 0 store, 1 fast .. 9 best)
-  Coder coder = Coder::kZlib;  ///< entropy stage (see codec.h), per quantity
+  /// Entropy stage (see codec.h), per quantity. The significance coder
+  /// strips the zero runs decimation leaves before deflate sees them:
+  /// cheaper to encode and a higher ratio than deflate over the raw stream.
+  Coder coder = Coder::kSparseZlib;
   /// Dumped quantities are either raw conserved components or derived
   /// pressure; the paper dumps p and Gamma.
   bool derive_pressure = false;  ///< if true, `quantity` is ignored: dump p
   int quantity = Q_G;
-  /// Pipelined dump path only: transform/encode worker threads (0 = one per
+  /// Transform/encode workers requested from the OpenMP runtime (0 = one per
   /// available core; AsyncDumper caps this default so background dumps never
-  /// oversubscribe the stepping solver — see async_dumper.h). The
-  /// synchronous compress_quantity keeps using the ambient OpenMP team.
+  /// oversubscribe the stepping solver — see async_dumper.h).
   int workers = 0;
 };
 
@@ -51,12 +55,12 @@ void validate_compression_params(const CompressionParams& params, int block_size
 /// Per-worker wall-clock split of one dump (paper Table 4 / Fig. 7-right).
 struct WorkerTimes {
   double dec = 0;  ///< FWT + decimation
-  double enc = 0;  ///< zlib encoding
+  double enc = 0;  ///< entropy encoding
   double io = 0;   ///< file write (filled by the I/O layer)
 };
 
-/// One quantity, compressed: a set of per-worker streams, each a zlib blob
-/// of concatenated decimated coefficient cubes plus the ids of the blocks it
+/// One quantity, compressed: a set of streams, each an encoded blob of
+/// concatenated decimated coefficient cubes plus the ids of the blocks it
 /// contains (in stream order).
 struct CompressedQuantity {
   int bx = 0, by = 0, bz = 0;  ///< grid shape in blocks
@@ -81,14 +85,15 @@ struct CompressedQuantity {
 };
 
 /// Extracts one block's scalar quantity (or derived pressure) into a dense
-/// bs^3 cube in x-fastest order. Shared by the synchronous compressor and
-/// the async dumper's snapshot stage; the derived-pressure path guards the
-/// kinetic-energy division against near-vacuum densities.
+/// bs^3 cube in x-fastest order. Shared by the live-grid front-end of the
+/// pipeline and the async dumper's snapshot stage; the derived-pressure path
+/// guards the kinetic-energy division against near-vacuum densities.
 void gather_block_quantity(const Block& block, int bs, const CompressionParams& params,
                            float* cube);
 
-/// Compresses one scalar quantity of the whole grid. If `times` is given it
-/// is resized to the worker count and filled with per-worker DEC/ENC times.
+/// Compresses one scalar quantity of the whole grid: a thin call into
+/// compress_quantity_pipelined (pipeline.h). If `times` is given it is
+/// replaced by the per-worker DEC/ENC times of the workers that ran.
 [[nodiscard]] CompressedQuantity compress_quantity(const Grid& grid,
                                                    const CompressionParams& params,
                                                    std::vector<WorkerTimes>* times = nullptr);

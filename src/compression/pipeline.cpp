@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <numeric>
-#include <thread>
 
 #include "common/error.h"
 #include "compression/codec.h"
@@ -57,9 +56,9 @@ CompressedQuantity compress_quantity_pipelined(const CubeSource& source, int bx,
   const int workers = std::min(requested, std::max(nchunks, 1));
   cq.streams.resize(nchunks);
   if (stats) {
-    stats->workers = workers;
+    stats->workers = 0;
     stats->chunks = nchunks;
-    stats->worker_times.assign(workers, WorkerTimes{});
+    stats->worker_times.clear();
   }
   if (nchunks == 0) return cq;
 
@@ -69,62 +68,82 @@ CompressedQuantity compress_quantity_pipelined(const CubeSource& source, int bx,
   // The stage graph: workers steal chunk *indices* off the shared counter
   // (dynamic load balance — encode cost is content-dependent), but each
   // chunk's output always lands in streams[c], so the file layout never
-  // depends on the schedule. Per-chunk failures are recorded and rethrown
-  // by lowest chunk id, keeping even the error deterministic.
+  // depends on the schedule or on how many workers the runtime grants.
+  // Per-chunk failures are recorded and rethrown by lowest chunk id,
+  // keeping even the error deterministic.
   std::atomic<int> next{0};
   std::vector<std::exception_ptr> errors(nchunks);
   std::vector<WorkerTimes> clocks(workers);
+  int granted = 1;
 
-  const auto work = [&](int w) {
-    std::vector<float> coeffs;
-    Timer t;
-    for (;;) {
-      // order: relaxed — the counter only partitions chunk ids between
-      // workers; all cross-thread data handoff happens at thread join.
-      const int c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= nchunks) break;
-      try {
-        const int begin = chunk_begin(blocks, nchunks, c);
-        const int end = chunk_begin(blocks, nchunks, c + 1);
-        coeffs.resize(static_cast<std::size_t>(end - begin) * cube_floats);
+  // libgomp's fork and join are not visible to ThreadSanitizer, so the
+  // hand-off of shared state into and out of the team is also spelled out
+  // on `joined`: the caller's release store before the fork pairs with each
+  // worker's acquire load, and each worker's release increment after its
+  // last access pairs with the caller's acquire load after the join.
+  std::atomic<int> joined{0};
+  // order: release — publishes the caller's set-up to the team.
+  joined.store(0, std::memory_order_release);
 
-        t.restart();
-        for (int b = begin; b < end; ++b) {
-          float* cube = coeffs.data() + static_cast<std::size_t>(b - begin) * cube_floats;
-          source.fill(b, cube);
-          FieldView3D<float> view(cube, bs, bs, bs);
-          wavelet::forward_3d_simd(view, levels);
-          wavelet::decimate(view, levels, params.eps, params.mode);
+#pragma omp parallel num_threads(workers) if (workers > 1)
+  {
+    // order: acquire — pairs with the caller's release store.
+    (void)joined.load(std::memory_order_acquire);
+    const int w = omp_get_thread_num();
+#pragma omp single nowait
+    granted = omp_get_num_threads();
+    {
+      std::vector<float> coeffs;
+      Timer t;
+      for (;;) {
+        // order: relaxed — the counter only partitions chunk ids between
+        // workers; the data hand-off goes through `joined`.
+        const int c = next.fetch_add(1, std::memory_order_relaxed);
+        if (c >= nchunks) break;
+        try {
+          const int begin = chunk_begin(blocks, nchunks, c);
+          const int end = chunk_begin(blocks, nchunks, c + 1);
+          coeffs.resize(static_cast<std::size_t>(end - begin) * cube_floats);
+
+          t.restart();
+          for (int b = begin; b < end; ++b) {
+            float* cube = coeffs.data() + static_cast<std::size_t>(b - begin) * cube_floats;
+            source.fill(b, cube);
+            FieldView3D<float> view(cube, bs, bs, bs);
+            wavelet::forward_3d_lanes(view, levels);
+            wavelet::decimate(view, levels, params.eps, params.mode);
+          }
+          clocks[w].dec += t.seconds();
+
+          // One encode per chunk: detail coefficients of adjacent blocks
+          // share ranges, so a concatenated stream compresses better than
+          // per-block encoding (paper Section 5).
+          t.restart();
+          EncodedStream es = codec.encode(coeffs.data(), coeffs.size(), params.zlib_level);
+          auto& stream = cq.streams[c];
+          stream.raw_bytes = es.raw_bytes;
+          stream.data = std::move(es.data);
+          stream.block_ids.resize(static_cast<std::size_t>(end - begin));
+          std::iota(stream.block_ids.begin(), stream.block_ids.end(),
+                    static_cast<std::uint32_t>(begin));
+          clocks[w].enc += t.seconds();
+        } catch (...) {
+          errors[c] = std::current_exception();
         }
-        clocks[w].dec += t.seconds();
-
-        t.restart();
-        EncodedStream es = codec.encode(coeffs.data(), coeffs.size(), params.zlib_level);
-        auto& stream = cq.streams[c];
-        stream.raw_bytes = es.raw_bytes;
-        stream.data = std::move(es.data);
-        stream.block_ids.resize(static_cast<std::size_t>(end - begin));
-        std::iota(stream.block_ids.begin(), stream.block_ids.end(),
-                  static_cast<std::uint32_t>(begin));
-        clocks[w].enc += t.seconds();
-      } catch (...) {
-        errors[c] = std::current_exception();
       }
     }
-  };
-
-  if (workers == 1) {
-    work(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (int w = 0; w < workers; ++w) pool.emplace_back(work, w);
-    for (auto& th : pool) th.join();
+    // order: release — publishes this worker's chunks, and the end of its
+    // reads of the caller's frame, to the caller.
+    joined.fetch_add(1, std::memory_order_release);
   }
+  // order: acquire — pairs with every worker's release increment.
+  (void)joined.load(std::memory_order_acquire);
   for (const auto& e : errors)
     if (e) std::rethrow_exception(e);
 
   if (stats) {
+    clocks.resize(granted);
+    stats->workers = granted;
     stats->worker_times = std::move(clocks);
     stats->uncompressed_bytes = cq.uncompressed_bytes();
     stats->compressed_bytes = cq.compressed_bytes();

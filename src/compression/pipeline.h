@@ -1,5 +1,5 @@
-// Pipelined multi-threaded dump path (DESIGN.md §13) — the throughput-grade
-// successor of the synchronous compressor: a pool of workers pulls fixed
+// Pipelined multi-threaded dump path (DESIGN.md §13) — the one compressor
+// (compress_quantity is a thin call into it): a team of workers pulls fixed
 // block-range chunks off a shared queue, runs FWT + decimation over each
 // chunk's cubes and feeds the result straight into its own entropy-encode
 // stage (no barrier between chunks — a worker encodes chunk A while another
@@ -8,17 +8,22 @@
 // stream blobs coalesced into large aligned writes.
 //
 // Determinism: the chunk → block-range map is a pure function of
-// (block_count, worker count), streams are emitted in chunk (= block-id)
-// order, and workers steal *which chunk to process next* dynamically but
-// never *where its output lands* — so for a fixed worker count and codec the
-// emitted file is bitwise-stable run-to-run regardless of scheduling.
+// (block_count, requested worker count), streams are emitted in chunk
+// (= block-id) order, and workers steal *which chunk to process next*
+// dynamically but never *where its output lands* — so for a fixed requested
+// worker count and codec the emitted file is bitwise-stable run-to-run
+// regardless of scheduling.
 //
 // The pipeline is front-end agnostic: a CubeSource hands it block cubes by
 // id, so the same stage graph serves the live Grid (synchronous dumps) and
-// the AsyncDumper's staging snapshot (background dumps). Workers are plain
-// std::threads, not an OpenMP team — the graph must run unchanged inside the
-// dumper's background thread, where a nested OpenMP region would silently
-// collapse to one lane.
+// the AsyncDumper's staging snapshot (background dumps). Workers are an
+// OpenMP team (`parallel num_threads(workers)`), so a synchronous dump runs
+// on the solver's own threads instead of competing with them for cores.
+// Opened from the dumper's background std::thread the region is not nested:
+// that thread becomes the master of a team of its own and gets the lanes it
+// asks for. Only a dump called from inside an active parallel region gets a
+// team of one (nested parallelism is off). Because the chunk map depends on
+// the requested worker count alone, the file bytes are the same either way.
 #pragma once
 
 #include <string>
@@ -56,7 +61,7 @@ class GridCubeSource final : public CubeSource {
 
 /// Instrumentation of one pipelined dump (Table 4 / Fig. 7-right analogue).
 struct PipelineStats {
-  int workers = 0;  ///< threads that actually ran
+  int workers = 0;  ///< team size the OpenMP runtime granted (0: no chunks)
   int chunks = 0;   ///< streams emitted (= chunk count)
   /// Per-worker wall-clock split: dec = FWT+decimate, enc = entropy stage.
   std::vector<WorkerTimes> worker_times;
@@ -67,15 +72,16 @@ struct PipelineStats {
 };
 
 /// Number of streams a pipelined dump emits: a pure function of
-/// (block_count, workers) so the file layout is schedule-independent —
+/// (block_count, requested workers) so the file layout is independent of the
+/// schedule and of the team size actually granted —
 /// enough chunks per worker that dynamic stealing load-balances the
 /// content-dependent encode cost, capped at the block count.
 [[nodiscard]] int pipeline_chunk_count(int block_count, int workers);
 
-/// Compresses one quantity through the stage graph. Decoded output is
-/// identical to the synchronous compress_quantity (same per-block transform,
-/// same codec); the stream partition differs (fixed chunks vs per-thread
-/// accumulation). Worker count comes from params.workers (0 = one per core).
+/// Compresses one quantity through the stage graph. Worker count comes from
+/// params.workers (0 = one per core); the decoded output does not depend on
+/// it (same per-block transform, same codec), only the stream partition
+/// does.
 [[nodiscard]] CompressedQuantity compress_quantity_pipelined(
     const CubeSource& source, int bx, int by, int bz, int block_size,
     const CompressionParams& params, PipelineStats* stats = nullptr);

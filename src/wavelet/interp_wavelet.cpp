@@ -1,7 +1,10 @@
 #include "wavelet/interp_wavelet.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
+#include <vector>
 
 #include "common/aligned_buffer.h"
 #include "simd/memory_ops.h"
@@ -62,54 +65,116 @@ void inverse_row(float* a, int n, float* scratch) {
   std::memcpy(a, scratch, static_cast<std::size_t>(n) * sizeof(float));
 }
 
-/// Four-row lockstep forward transform; rows start at r0..r0+3*stride.
-void forward_row4(float* r0, std::ptrdiff_t stride, int n, float* scratch4) {
-  using simd::vec4;
-  const int M = n / 2;
-  // scratch4 layout: [coarse (4M) | details (4M)], lane-interleaved.
-  auto gather = [&](int i) {
-    return vec4(r0[i], r0[i + stride], r0[i + 2 * stride], r0[i + 3 * stride]);
-  };
-  for (int k = 0; k < M; ++k) gather(2 * k).store(scratch4 + 4 * k);
-  auto s = [&](int i) { return vec4::load(scratch4 + 4 * i); };
-  for (int k = 0; k < M; ++k) {
-    const vec4 d = gather(2 * k + 1) - predict<vec4>(s, M, k);
-    d.store(scratch4 + 4 * (M + k));
+#if MPCF_SIMD_AVX2
+using WideLanes = simd::vec8;
+#else
+using WideLanes = simd::vec4;
+#endif
+
+/// Details of lanes [x, lanes) of one odd sample, T-wide at a time: the
+/// even samples i of the axis start at even + i*ld2, the odd one at `odd`.
+/// Returns the first lane left over (fewer than T's width remain).
+template <typename T>
+int detail_lanes(const float* even, std::ptrdiff_t ld2, const float* odd, int M, int k,
+                 float* d, int x, int lanes) {
+  constexpr int kW = simd::Lanes<T>::value;
+  for (; x + kW <= lanes; x += kW) {
+    const auto s = [&](int i) { return simd::load_elems<T>(even + i * ld2 + x); };
+    simd::store_elems(d + x, simd::load_elems<T>(odd + x) - predict<T>(s, M, k));
   }
-  // Scatter back (the 4x4 repacking overhead the paper notes).
-  for (int i = 0; i < n; ++i) {
-    alignas(16) float lanes[4];
-    vec4::load(scratch4 + 4 * i).store(lanes);
-    r0[i] = lanes[0];
-    r0[i + stride] = lanes[1];
-    r0[i + 2 * stride] = lanes[2];
-    r0[i + 3 * stride] = lanes[3];
-  }
+  return x;
 }
 
-enum class Pass { kForward, kInverse, kForwardSimd };
+/// dst[x, lanes) = src[x, lanes), T-wide at a time.
+template <typename T>
+int copy_lanes(float* dst, const float* src, int x, int lanes) {
+  constexpr int kW = simd::Lanes<T>::value;
+  for (; x + kW <= lanes; x += kW) simd::store_elems(dst + x, simd::load_elems<T>(src + x));
+  return x;
+}
+
+/// Copies one run of `lanes` floats inline: runs are a few vectors long,
+/// where a library memcpy call costs more than the copy.
+inline void copy_run(float* dst, const float* src, int lanes) {
+  int x = copy_lanes<WideLanes>(dst, src, 0, lanes);
+  if constexpr (!std::is_same_v<WideLanes, simd::vec4>)
+    x = copy_lanes<simd::vec4>(dst, src, x, lanes);
+  copy_lanes<float>(dst, src, x, lanes);
+}
+
+/// Interior details d[k] (1 <= k <= M-3: the centered stencil) in T-wide
+/// runs along the row, from the packed evens e and odds o. Returns the first
+/// k left over.
+template <typename T>
+int interior_details(const float* e, const float* o, float* d, int M, int k) {
+  constexpr int kW = simd::Lanes<T>::value;
+  const auto s = [&](int i) { return simd::load_elems<T>(e + i); };
+  for (; k + kW - 1 <= M - 3; k += kW)
+    simd::store_elems(d + k, simd::load_elems<T>(o + k) - predict<T>(s, M, k));
+  return k;
+}
+
+/// forward_row with the centered stencil vectorized along the row: evens
+/// and odds are packed apart first, so consecutive details read consecutive
+/// samples. `scratch` must hold 3n/2 floats.
+void forward_row_lanes(float* a, int n, float* scratch) {
+  const int M = n / 2;
+  float* e = scratch;       // coarse, then details: the row's output
+  float* d = scratch + M;
+  float* o = scratch + n;
+  for (int k = 0; k < M; ++k) {
+    e[k] = a[2 * k];
+    o[k] = a[2 * k + 1];
+  }
+  const auto s = [&](int i) { return e[i]; };
+  int k = 0;
+  if (M >= 4) {
+    d[0] = o[0] - predict<float>(s, M, 0);
+    k = interior_details<WideLanes>(e, o, d, M, 1);
+    if constexpr (!std::is_same_v<WideLanes, simd::vec4>)
+      k = interior_details<simd::vec4>(e, o, d, M, k);
+    k = interior_details<float>(e, o, d, M, k);
+  }
+  for (; k < M; ++k) d[k] = o[k] - predict<float>(s, M, k);
+  copy_run(a, scratch, n);
+}
+
+/// One forward level along a strided axis, vectorized across contiguous
+/// lanes instead of transposing the axis into rows: sample j of the axis is
+/// the run of `lanes` floats at base + j*ld. Leaves [coarse | detail] along
+/// the axis in place; scratch holds (m/2)*lanes floats.
+void lift_strided(float* base, std::ptrdiff_t ld, int m, int lanes, float* scratch) {
+  const int M = m / 2;
+  for (int k = 0; k < M; ++k) {
+    const float* odd = base + (2 * k + 1) * ld;
+    float* d = scratch + k * lanes;
+    int x = detail_lanes<WideLanes>(base, 2 * ld, odd, M, k, d, 0, lanes);
+    if constexpr (!std::is_same_v<WideLanes, simd::vec4>)
+      x = detail_lanes<simd::vec4>(base, 2 * ld, odd, M, k, d, x, lanes);
+    detail_lanes<float>(base, 2 * ld, odd, M, k, d, x, lanes);
+  }
+  // Coarse samples move to the front in ascending k: the write to sample k
+  // never lands on an even sample 2k' > 2k that is still to be read.
+  for (int k = 1; k < M; ++k) copy_run(base + k * ld, base + 2 * k * ld, lanes);
+  for (int k = 0; k < M; ++k) copy_run(base + (M + k) * ld, scratch + k * lanes, lanes);
+}
+
+enum class Pass { kForward, kInverse };
 
 /// Applies the 1-D transform along x to every row of the leading m^3
 /// sub-cube of f.
 void filter_rows(FieldView3D<float> f, int m, Pass pass) {
   const int n = f.nx();
-  AlignedBuffer<float> scratch(static_cast<std::size_t>(4) * m);
+  AlignedBuffer<float> scratch(static_cast<std::size_t>(m));
   float* base = f.data();
-  for (int z = 0; z < m; ++z) {
-    int y = 0;
-    if (pass == Pass::kForwardSimd) {
-      for (; y + 4 <= m; y += 4)
-        forward_row4(base + static_cast<std::ptrdiff_t>(n) * (y + static_cast<std::ptrdiff_t>(n) * z),
-                     n, m, scratch.data());
-    }
-    for (; y < m; ++y) {
+  for (int z = 0; z < m; ++z)
+    for (int y = 0; y < m; ++y) {
       float* row = base + static_cast<std::ptrdiff_t>(n) * (y + static_cast<std::ptrdiff_t>(n) * z);
       if (pass == Pass::kInverse)
         inverse_row(row, m, scratch.data());
       else
         forward_row(row, m, scratch.data());
     }
-  }
 }
 
 void transpose_xy_sub(FieldView3D<float> f, int m) {
@@ -165,17 +230,23 @@ void forward_3d(FieldView3D<float> f, int levels) {
   }
 }
 
-void forward_3d_simd(FieldView3D<float> f, int levels) {
+void forward_3d_lanes(FieldView3D<float> f, int levels) {
   check_shape(f, levels);
+  const int n = f.nx();
+  const std::ptrdiff_t plane = static_cast<std::ptrdiff_t>(n) * n;
+  float* base = f.data();
+  // One (n/2)-sample run of details per lift, 3n/2 floats per row; kept per
+  // thread because allocating it per call cost ~15% of an 8^3 transform.
+  thread_local std::vector<float> scratch;
+  scratch.resize(std::max(scratch.size(), static_cast<std::size_t>(plane) / 2 + n));
   for (int l = 0; l < levels; ++l) {
-    const int m = f.nx() >> l;
-    filter_rows(f, m, Pass::kForwardSimd);
-    transpose_xy_sub(f, m);
-    filter_rows(f, m, Pass::kForwardSimd);
-    transpose_xy_sub(f, m);
-    transpose_xz_sub(f, m);
-    filter_rows(f, m, Pass::kForwardSimd);
-    transpose_xz_sub(f, m);
+    const int m = n >> l;
+    // x: each row in place.
+    for (int z = 0; z < m; ++z)
+      for (int y = 0; y < m; ++y) forward_row_lanes(base + n * y + plane * z, m, scratch.data());
+    // y and z: along the axis, the x run of each sample as the lanes.
+    for (int z = 0; z < m; ++z) lift_strided(base + plane * z, n, m, m, scratch.data());
+    for (int y = 0; y < m; ++y) lift_strided(base + n * y, plane, m, m, scratch.data());
   }
 }
 

@@ -36,13 +36,15 @@ void inverse_1d(float* data, int n, float* scratch);
 void forward_3d(FieldView3D<float> f, int levels);
 void inverse_3d(FieldView3D<float> f, int levels);
 
-/// 4-wide vectorized forward transform: processes four adjacent rows per
-/// pass through on-the-fly 4x4 repacking (the paper's "four y-adjacent
-/// independent data streams" technique). Bit-compatible layout with
-/// forward_3d; values agree to float round-off.
-void forward_3d_simd(FieldView3D<float> f, int levels);
+/// Production forward transform: the same levels, passes and predictor
+/// expressions as forward_3d, without transposes. The x pass filters each
+/// row in place; the y and z passes filter along their axis in place,
+/// vectorized across the contiguous x lanes of the sub-cube. Same
+/// coefficient layout as forward_3d; values agree to float round-off.
+void forward_3d_lanes(FieldView3D<float> f, int levels);
 
-/// In-place transposition helpers (exposed for tests and the FWT bench).
+/// In-place transposition helpers of forward_3d/inverse_3d (exposed for
+/// tests).
 void transpose_xy(FieldView3D<float> f);
 void transpose_xz(FieldView3D<float> f);
 

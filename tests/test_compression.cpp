@@ -122,8 +122,8 @@ TEST(Compressor, WorkerTimesReported) {
 }
 
 TEST(Compressor, NoEmptyStreamsLeaveThePipeline) {
-  // One block, many threads: all workers but one are idle, and their empty
-  // streams must be pruned before the result reaches the file pipeline.
+  // One block, many workers: the chunk count is capped at the block count,
+  // so no empty stream reaches the file pipeline.
   Grid g(1, 1, 1, 16, 1e-3);
   std::vector<Bubble> one{Bubble{0.5e-3, 0.5e-3, 0.5e-3, 0.2e-3}};
   set_cloud_ic(g, one, TwoPhaseIC{});

@@ -1,9 +1,11 @@
 // Conformance and correctness tests of the pipelined multi-threaded dump
-// path (DESIGN.md §13): stage-graph output vs the synchronous compressor for
-// every registered codec across worker counts, deterministic file layout,
+// path (DESIGN.md §13): decoded output independent of the worker count for
+// every registered codec, the OpenMP team from main, background and nested
+// callers, deterministic file layout,
 // the v3 on-disk format, the LZ4-class byte coder, parameter validation at
 // ingestion, and fault injection through the two-phase aggregating writer.
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -11,6 +13,7 @@
 #include <numeric>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "compression/async_dumper.h"
@@ -57,12 +60,12 @@ void expect_fields_bitwise_equal(const Field3D<float>& a, const Field3D<float>& 
             << "at " << ix << "," << iy << "," << iz;
 }
 
-// --- Conformance: stage graph vs synchronous path -------------------------
+// --- Conformance: decoded output across worker counts --------------------
 
 TEST(PipelineConformance, MatchesSynchronousPathForEveryCodecAndWorkerCount) {
-  // The pipelined stage graph must reproduce the synchronous compressor's
-  // output exactly: same per-block FWT + decimation, same codec, so the
-  // decoded fields are bitwise identical for every codec x worker count.
+  // compress_quantity (one worker per core) and the stage graph at any other
+  // worker count run the same per-block FWT + decimation and the same codec,
+  // so the decoded fields are bitwise identical for every codec x workers.
   const Grid g = make_grid();
   for (const Coder coder : kAllCoders) {
     const auto f_sync = decompress_to_field(compress_quantity(g, make_params(coder, 0)));
@@ -116,6 +119,52 @@ TEST(PipelineConformance, ChunkCountIsAPureFunctionOfShapeAndWorkers) {
   EXPECT_EQ(pipeline_chunk_count(64, 1), 4);   // 4 chunks per worker
   EXPECT_EQ(pipeline_chunk_count(64, 4), 16);
   EXPECT_EQ(pipeline_chunk_count(64, 100), 64);
+}
+
+// --- The worker pool: one OpenMP team per dump ---------------------------
+
+TEST(PipelinePool, MainBackgroundAndNestedCallersWriteIdenticalBytes) {
+  // The same 2-worker dump three ways. From the main thread and from a
+  // background std::thread the region is not nested, so each caller gets a
+  // team of 2; inside an active parallel region nesting is off and the team
+  // is 1. The chunk map follows the requested count, so the bytes agree.
+  struct ActiveLevels {
+    int saved = omp_get_max_active_levels();
+    ActiveLevels() { omp_set_max_active_levels(1); }
+    ~ActiveLevels() { omp_set_max_active_levels(saved); }
+  } one_level;
+  const Grid g = make_grid();
+  const auto params = make_params(Coder::kSparseZlib, 2);
+  const std::string dir = ::testing::TempDir();
+  const std::string paths[3] = {dir + "/mpcf_pool_main.cq", dir + "/mpcf_pool_bg.cq",
+                                dir + "/mpcf_pool_nested.cq"};
+  PipelineStats st[3];
+
+  dump_quantity_pipelined(g, params, paths[0], &st[0]);
+  std::thread background([&] { dump_quantity_pipelined(g, params, paths[1], &st[1]); });
+  background.join();
+  int outer_level = 0;
+#pragma omp parallel num_threads(2)
+  {
+#pragma omp single
+    {
+      outer_level = omp_get_active_level();
+      dump_quantity_pipelined(g, params, paths[2], &st[2]);
+    }
+  }
+
+  EXPECT_EQ(st[0].workers, 2);
+  EXPECT_EQ(st[1].workers, 2);
+  ASSERT_EQ(outer_level, 1) << "the enclosing region did not become active";
+  EXPECT_EQ(st[2].workers, 1);
+  for (const auto& s : st) {
+    EXPECT_EQ(static_cast<int>(s.worker_times.size()), s.workers);
+    EXPECT_EQ(s.chunks, pipeline_chunk_count(g.block_count(), 2));
+  }
+  const auto main_bytes = io::read_file(paths[0]);
+  EXPECT_EQ(io::read_file(paths[1]), main_bytes);
+  EXPECT_EQ(io::read_file(paths[2]), main_bytes);
+  for (const auto& p : paths) std::remove(p.c_str());
 }
 
 // --- The v3 on-disk format ------------------------------------------------

@@ -86,6 +86,7 @@ TEST(SparsePipeline, RoundTripThroughCompressorAndFile) {
   CompressionParams pz;
   pz.eps = 1e-2f;
   pz.quantity = Q_G;
+  pz.coder = Coder::kZlib;
   CompressionParams ps = pz;
   ps.coder = Coder::kSparseZlib;
 

@@ -124,19 +124,43 @@ TEST(Wavelet3D, MaxLevels) {
   EXPECT_EQ(max_levels(6), 1);  // 6 -> 3, then 3 is odd: stop
 }
 
+// The production transform against the transpose-based scalar oracle, at
+// every block edge the solver uses and every level count down to edge 2.
+// Edges that are not a multiple of the vector width (6, 12, 24) exercise
+// the scalar tails of the lane loops.
 TEST(Wavelet3D, SimdMatchesScalar) {
-  const int n = 16, levels = 2;
-  Field3D<float> a(n, n, n), b(n, n, n);
   std::mt19937 rng(3);
   std::uniform_real_distribution<float> dist(-5, 5);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a.data()[i] = dist(rng);
-    b.data()[i] = a.data()[i];
+  for (const int n : {4, 6, 8, 12, 16, 24, 32}) {
+    for (int levels = 1; levels <= max_levels(n); ++levels) {
+      Field3D<float> a(n, n, n), b(n, n, n);
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        a.data()[i] = dist(rng);
+        b.data()[i] = a.data()[i];
+      }
+      forward_3d(a.view(), levels);
+      forward_3d_lanes(b.view(), levels);
+      for (std::size_t i = 0; i < a.size(); ++i)
+        ASSERT_NEAR(a.data()[i], b.data()[i], 1e-5f * (1 + std::fabs(a.data()[i])))
+            << "n=" << n << " levels=" << levels << " at " << i;
+    }
   }
-  forward_3d(a.view(), levels);
-  forward_3d_simd(b.view(), levels);
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_NEAR(a.data()[i], b.data()[i], 1e-5f * (1 + std::fabs(a.data()[i])));
+}
+
+TEST(Wavelet3D, SimdRoundTripsThroughInverse) {
+  std::mt19937 rng(12);
+  std::uniform_real_distribution<float> dist(-5, 5);
+  for (const int n : {4, 8, 16, 32}) {
+    const int levels = max_levels(n);
+    Field3D<float> f(n, n, n), orig(n, n, n);
+    for (std::size_t i = 0; i < f.size(); ++i) f.data()[i] = dist(rng);
+    std::copy(f.data(), f.data() + f.size(), orig.data());
+    forward_3d_lanes(f.view(), levels);
+    inverse_3d(f.view(), levels);
+    for (std::size_t i = 0; i < f.size(); ++i)
+      ASSERT_NEAR(f.data()[i], orig.data()[i], 2e-4f * (1 + std::fabs(orig.data()[i])))
+          << "n=" << n << " at " << i;
+  }
 }
 
 TEST(Wavelet3D, SmoothFieldCompressesAfterDecimation) {
