@@ -2,6 +2,9 @@
 // RHS accumulator of the low-storage Runge-Kutta scheme (paper Fig. 2).
 #pragma once
 
+#include <algorithm>
+#include <utility>
+
 #include "common/aligned_buffer.h"
 #include "common/check.h"
 #include "common/error.h"
@@ -12,14 +15,11 @@ namespace mpcf {
 class Block {
  public:
   Block() = default;
-  explicit Block(int bs)
-      : bs_(bs),
-        data_(static_cast<std::size_t>(bs) * bs * bs),
-        tmp_(static_cast<std::size_t>(bs) * bs * bs) {
-    require(bs > 0, "Block: block size must be positive");
-    for (auto& c : data_) c = Cell{};
-    for (auto& c : tmp_) c = Cell{};
-  }
+  /// Both areas start zeroed.
+  explicit Block(int bs) : Block(bs, Unfilled{}) { zero(); }
+
+  /// Exchanges the state and the accumulator areas (no copy).
+  void swap_data_tmp() noexcept { std::swap(data_, tmp_); }
 
   [[nodiscard]] int size() const noexcept { return bs_; }
   [[nodiscard]] std::size_t cells() const noexcept { return data_.size(); }
@@ -45,6 +45,19 @@ class Block {
   [[nodiscard]] const Cell* tmp_data() const noexcept { return tmp_.data(); }
 
  private:
+  friend class Grid;  // allocates unfilled, then zeroes its blocks in parallel
+  struct Unfilled {};
+  Block(int bs, Unfilled)
+      : bs_(bs),
+        data_(static_cast<std::size_t>(bs) * bs * bs),
+        tmp_(static_cast<std::size_t>(bs) * bs * bs) {
+    require(bs > 0, "Block: block size must be positive");
+  }
+  void zero() noexcept {
+    std::fill(data_.begin(), data_.end(), Cell{});
+    std::fill(tmp_.begin(), tmp_.end(), Cell{});
+  }
+
   [[nodiscard]] std::size_t index(int ix, int iy, int iz) const MPCF_NOEXCEPT {
     MPCF_CHECK(ix >= 0 && ix < bs_ && iy >= 0 && iy < bs_ && iz >= 0 && iz < bs_,
                "Block cell (" + std::to_string(ix) + "," + std::to_string(iy) + "," +

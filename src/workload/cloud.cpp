@@ -1,5 +1,6 @@
 #include "workload/cloud.h"
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 
@@ -77,19 +78,83 @@ Cell make_mixture_cell(double alpha, const TwoPhaseIC& ic, double p_liquid_overr
   return c;
 }
 
+/// A bubble's diffuse term 0.5 * (1 - tanh((dist - r) / delta)) is exactly
+/// +0 once (dist - r) / delta >= 22, where glibc's tanh returns 1.0, so it
+/// cannot change the max in vapor_fraction. Culling at 23 widths leaves a
+/// full width of margin for the rounding of the squared distances.
+constexpr double kReachWidths = 23.0;
+
+/// Block-local two-phase fill shared by the initial conditions: each cell
+/// gets make(x, alpha), with alpha bit-identical to vapor_fraction at the
+/// cell centre. Blocks are dealt out dynamically (blocks that cut an
+/// interface cost far more than pure liquid); each keeps only the bubbles
+/// whose reach (r + 23 delta) touches its cell centres, and a cell skips any
+/// of those still out of reach.
+template <typename MakeCell>
+void fill_two_phase(Grid& grid, const std::vector<Bubble>& bubbles, double delta,
+                    const MakeCell& make) {
+  const int bs = grid.block_size();
+  const double reach = kReachWidths * delta;
+#pragma omp parallel
+  {
+    std::vector<Bubble> near;
+    std::vector<double> near_reach2;
+#pragma omp for schedule(dynamic, 1)
+    for (int b = 0; b < grid.block_count(); ++b) {
+      int origin[3];
+      grid.indexer().coords(b, origin[0], origin[1], origin[2]);
+      double lo[3], hi[3];  // bounding box of the block's cell centres
+      for (int a = 0; a < 3; ++a) {
+        origin[a] *= bs;
+        lo[a] = grid.cell_center(origin[a]);
+        hi[a] = grid.cell_center(origin[a] + bs - 1);
+      }
+      near.clear();
+      near_reach2.clear();
+      for (const Bubble& bub : bubbles) {
+        const double c[3] = {bub.x, bub.y, bub.z};
+        double d2 = 0.0;
+        for (int a = 0; a < 3; ++a) {
+          const double e = std::max({lo[a] - c[a], c[a] - hi[a], 0.0});
+          d2 += e * e;
+        }
+        const double reach2 = (bub.r + reach) * (bub.r + reach);
+        if (d2 < reach2) {
+          near.push_back(bub);
+          near_reach2.push_back(reach2);
+        }
+      }
+
+      Cell* out = grid.block(b).data();
+      for (int iz = 0; iz < bs; ++iz) {
+        const double z = grid.cell_center(origin[2] + iz);
+        for (int iy = 0; iy < bs; ++iy) {
+          const double y = grid.cell_center(origin[1] + iy);
+          for (int ix = 0; ix < bs; ++ix) {
+            const double x = grid.cell_center(origin[0] + ix);
+            double alpha = 0.0;
+            for (std::size_t k = 0; k < near.size(); ++k) {
+              const Bubble& bub = near[k];
+              const double dx = x - bub.x, dy = y - bub.y, dz = z - bub.z;
+              const double d2 = dx * dx + dy * dy + dz * dz;
+              if (d2 >= near_reach2[k]) continue;
+              const double a = 0.5 * (1.0 - std::tanh((std::sqrt(d2) - bub.r) / delta));
+              alpha = std::max(alpha, a);
+            }
+            *out++ = make(x, alpha);
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 void set_cloud_ic(Grid& grid, const std::vector<Bubble>& bubbles, const TwoPhaseIC& ic) {
-  const double delta = ic.smoothing_cells * grid.h();
-  const int nx = grid.cells_x(), ny = grid.cells_y(), nz = grid.cells_z();
-#pragma omp parallel for schedule(static)
-  for (int iz = 0; iz < nz; ++iz)
-    for (int iy = 0; iy < ny; ++iy)
-      for (int ix = 0; ix < nx; ++ix) {
-        const double alpha = vapor_fraction(grid.cell_center(ix), grid.cell_center(iy),
-                                            grid.cell_center(iz), bubbles, delta);
-        grid.cell(ix, iy, iz) = make_mixture_cell(alpha, ic, ic.p_liquid);
-      }
+  fill_two_phase(grid, bubbles, ic.smoothing_cells * grid.h(), [&ic](double, double alpha) {
+    return make_mixture_cell(alpha, ic, ic.p_liquid);
+  });
 }
 
 void set_shock_bubble_ic(Grid& grid, const ShockBubbleIC& ic) {
@@ -115,26 +180,19 @@ void set_shock_bubble_ic(Grid& grid, const ShockBubbleIC& ic) {
   const double us = std::sqrt(ph1 / r1 * ((g + 1.0) / 2.0 * ph2 / ph1 + (g - 1.0) / 2.0));
   const double u2 = us * (1.0 - r1 / r2);
 
-  const int nx = grid.cells_x(), ny = grid.cells_y(), nz = grid.cells_z();
-#pragma omp parallel for schedule(static)
-  for (int iz = 0; iz < nz; ++iz)
-    for (int iy = 0; iy < ny; ++iy)
-      for (int ix = 0; ix < nx; ++ix) {
-        const double x = grid.cell_center(ix);
-        const double alpha = vapor_fraction(x, grid.cell_center(iy), grid.cell_center(iz),
-                                            one, delta);
-        Cell c = make_mixture_cell(alpha, ic.phases, p1);
-        if (x < xs && alpha < 0.5) {
-          // Pure post-shock liquid column.
-          c.rho = static_cast<Real>(r2);
-          c.ru = static_cast<Real>(r2 * u2);
-          const double G = l.Gamma(), Pi = l.Pi();
-          c.G = static_cast<Real>(G);
-          c.P = static_cast<Real>(Pi);
-          c.E = static_cast<Real>(G * p2 + Pi + 0.5 * r2 * u2 * u2);
-        }
-        grid.cell(ix, iy, iz) = c;
-      }
+  const double G = l.Gamma(), Pi = l.Pi();
+  fill_two_phase(grid, one, delta, [&](double x, double alpha) {
+    Cell c = make_mixture_cell(alpha, ic.phases, p1);
+    if (x < xs && alpha < 0.5) {
+      // Pure post-shock liquid column.
+      c.rho = static_cast<Real>(r2);
+      c.ru = static_cast<Real>(r2 * u2);
+      c.G = static_cast<Real>(G);
+      c.P = static_cast<Real>(Pi);
+      c.E = static_cast<Real>(G * p2 + Pi + 0.5 * r2 * u2 * u2);
+    }
+    return c;
+  });
 }
 
 }  // namespace mpcf

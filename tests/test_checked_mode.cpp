@@ -188,6 +188,14 @@ TEST(CheckedMode, TornCheckpointCaughtAtSaveByReadback) {
   EXPECT_THROW(io::save_checkpoint(path, sim), CheckError);
   io::fault::disarm();
 
+  // Rot inside a chunk's zlib stream (past the header and chunk table) is
+  // caught by the readback's per-chunk CRC check.
+  EXPECT_NO_THROW(io::save_checkpoint(path, sim));
+  flip.byte = io::read_file(path).size() - 3;
+  io::fault::arm(flip);
+  EXPECT_THROW(io::save_checkpoint(path, sim), CheckError);
+  io::fault::disarm();
+
   // Healthy hardware: verify-after-write passes and the file round-trips.
   EXPECT_NO_THROW(io::save_checkpoint(path, sim));
   Simulation sim2 = make_uniform_sim();

@@ -1,6 +1,10 @@
 // Unit tests for blocks, grid addressing, boundary folding and the BlockLab.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+#include <vector>
+
 #include "grid/grid.h"
 #include "grid/lab.h"
 
@@ -51,6 +55,30 @@ TEST(Grid, BlocksAreZeroInitialized) {
   Grid g(1, 1, 1, 8);
   EXPECT_EQ(g.cell(3, 4, 5).rho, 0.0f);
   EXPECT_EQ(g.block(0).tmp(1, 2, 3).E, 0.0f);
+}
+
+TEST(Grid, ParallelFillZeroesEveryBlockOfReusedMemory) {
+  // The blocks are allocated unfilled and zeroed by an OpenMP loop: dirty
+  // a grid, free it, and the same-shaped grid built next (likely on the
+  // same heap memory) must still read all zero, state and accumulator.
+  const auto is_zero = [](const Cell* c, std::size_t n) {
+    const std::vector<Cell> zeros(n);
+    return std::memcmp(c, zeros.data(), n * sizeof(Cell)) == 0;
+  };
+  for (int round = 0; round < 2; ++round) {
+    auto dirty = std::make_unique<Grid>(4, 2, 3, 8);
+    for (int b = 0; b < dirty->block_count(); ++b)
+      for (std::size_t k = 0; k < dirty->block(b).cells(); ++k) {
+        dirty->block(b).data()[k].rho = 1.5f;
+        dirty->block(b).tmp_data()[k].E = -2.5f;
+      }
+    dirty.reset();
+    const Grid g(4, 2, 3, 8);
+    for (int b = 0; b < g.block_count(); ++b) {
+      ASSERT_TRUE(is_zero(g.block(b).data(), g.block(b).cells())) << "data of block " << b;
+      ASSERT_TRUE(is_zero(g.block(b).tmp_data(), g.block(b).cells())) << "tmp of block " << b;
+    }
+  }
 }
 
 TEST(Boundary, PeriodicFold) {

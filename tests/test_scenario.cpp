@@ -1,6 +1,7 @@
 // Scenario engine tests (DESIGN.md §15): registry contents, the exact
 // Riemann reference solver, bitwise equivalence between config-driven
-// scenario builds and the retired hard-coded example setups, the Sod L1
+// scenario builds and the retired hard-coded example setups, the block-local
+// initial-condition builders against their per-cell oracles, the Sod L1
 // validation bound, checkpoint-resume determinism of the runner, and the
 // checked-in example configs.
 #include <gtest/gtest.h>
@@ -104,6 +105,154 @@ TEST(ExactRiemann, SymmetricCollisionIsStationary) {
   const physics::ExactRiemann head_on({1.0, 1.0, 1.0}, {1.0, -1.0, 1.0}, 1.4);
   EXPECT_NEAR(head_on.u_star(), 0.0, 1e-12);
   EXPECT_GT(head_on.p_star(), 1.0);  // two shocks compress the middle
+}
+
+// --- Initial-condition oracles: the per-cell loops that set_cloud_ic and
+// --- set_shock_bubble_ic used before their block-local, culled traversal.
+// --- Every cell is visited through Grid::cell and every bubble through
+// --- vapor_fraction; the builders must reproduce them bit for bit.
+
+Cell oracle_mixture_cell(double alpha, const TwoPhaseIC& ic, double p_liquid_override) {
+  const double rho = alpha * ic.rho_vapor + (1.0 - alpha) * ic.rho_liquid;
+  const double p = alpha * ic.p_vapor + (1.0 - alpha) * p_liquid_override;
+  const auto mix = eos::mix(ic.vapor, ic.liquid, alpha);
+  Cell c;
+  c.rho = static_cast<Real>(rho);
+  c.ru = c.rv = c.rw = 0;
+  c.G = static_cast<Real>(mix.G);
+  c.P = static_cast<Real>(mix.Pi);
+  c.E = static_cast<Real>(mix.G * p + mix.Pi);
+  return c;
+}
+
+void oracle_cloud_ic(Grid& grid, const std::vector<Bubble>& bubbles, const TwoPhaseIC& ic) {
+  const double delta = ic.smoothing_cells * grid.h();
+  for (int iz = 0; iz < grid.cells_z(); ++iz)
+    for (int iy = 0; iy < grid.cells_y(); ++iy)
+      for (int ix = 0; ix < grid.cells_x(); ++ix) {
+        const double alpha = vapor_fraction(grid.cell_center(ix), grid.cell_center(iy),
+                                            grid.cell_center(iz), bubbles, delta);
+        grid.cell(ix, iy, iz) = oracle_mixture_cell(alpha, ic, ic.p_liquid);
+      }
+}
+
+void oracle_shock_bubble_ic(Grid& grid, const ShockBubbleIC& ic) {
+  const double extent = grid.h() * grid.cells_x();
+  const std::vector<Bubble> one{Bubble{ic.bubble.x * extent, ic.bubble.y * extent,
+                                       ic.bubble.z * extent, ic.bubble.r * extent}};
+  const double delta = ic.phases.smoothing_cells * grid.h();
+  const double xs = ic.shock_x * extent;
+  const StiffenedGas& l = ic.phases.liquid;
+  const double p1 = ic.phases.p_liquid;
+  const double p2 = p1 * ic.p_ratio;
+  const double r1 = ic.phases.rho_liquid;
+  const double g = l.gamma;
+  const double pc = l.pc;
+  const double ph1 = p1 + pc, ph2 = p2 + pc;
+  const double r2 = r1 * ((g + 1.0) * ph2 + (g - 1.0) * ph1) /
+                    ((g - 1.0) * ph2 + (g + 1.0) * ph1);
+  const double us = std::sqrt(ph1 / r1 * ((g + 1.0) / 2.0 * ph2 / ph1 + (g - 1.0) / 2.0));
+  const double u2 = us * (1.0 - r1 / r2);
+  for (int iz = 0; iz < grid.cells_z(); ++iz)
+    for (int iy = 0; iy < grid.cells_y(); ++iy)
+      for (int ix = 0; ix < grid.cells_x(); ++ix) {
+        const double x = grid.cell_center(ix);
+        const double alpha = vapor_fraction(x, grid.cell_center(iy), grid.cell_center(iz),
+                                            one, delta);
+        Cell c = oracle_mixture_cell(alpha, ic.phases, p1);
+        if (x < xs && alpha < 0.5) {
+          c.rho = static_cast<Real>(r2);
+          c.ru = static_cast<Real>(r2 * u2);
+          const double G = l.Gamma(), Pi = l.Pi();
+          c.G = static_cast<Real>(G);
+          c.P = static_cast<Real>(Pi);
+          c.E = static_cast<Real>(G * p2 + Pi + 0.5 * r2 * u2 * u2);
+        }
+        grid.cell(ix, iy, iz) = c;
+      }
+}
+
+/// Grid shapes of the oracle comparisons: 32^3 cells at block sizes 8, 16
+/// and 32 (Morton order), and a non-cubic 4x2x1 grid (row-major order).
+struct IcShape {
+  int bx, by, bz, bs;
+};
+constexpr IcShape kIcShapes[] = {{4, 4, 4, 8}, {2, 2, 2, 16}, {1, 1, 1, 32}, {4, 2, 1, 8}};
+constexpr double kIcExtent = 2e-3;
+
+std::string shape_name(const IcShape& s) {
+  return std::to_string(s.bx) + "x" + std::to_string(s.by) + "x" + std::to_string(s.bz) +
+         " blocks of " + std::to_string(s.bs);
+}
+
+/// Cloud comparisons: the cloud_collapse draw at seeds 42 and 7 with the
+/// default 1.5-cell interface, and bubbles cut by the domain boundary
+/// (centred on a face, on a corner, and just outside the domain with its
+/// reach inside it) with a 0.5-cell interface, so that a bubble's reach
+/// (r + 23 widths) is shorter than the 32-cell domain and whole blocks are
+/// culled.
+struct IcCase {
+  std::string name;
+  std::vector<Bubble> bubbles;
+  double smoothing_cells;
+};
+
+std::vector<IcCase> ic_cloud_cases() {
+  CloudParams cloud;
+  cloud.count = 12;
+  cloud.r_min = 60e-6;
+  cloud.r_max = 220e-6;
+  cloud.lognormal_mu = -8.9;
+  std::vector<IcCase> cases;
+  for (const std::uint64_t seed : {42u, 7u}) {
+    cloud.seed = seed;
+    cases.push_back({"seed " + std::to_string(seed), generate_cloud(cloud, kIcExtent), 1.5});
+  }
+  const double e = kIcExtent;
+  cases.push_back({"boundary",
+                   {{0.0, 0.3 * e, 0.2 * e, 0.15 * e},
+                    {e, e, 0.0, 0.2 * e},
+                    {0.6 * e, -0.05 * e, 0.7 * e, 0.1 * e}},
+                   0.5});
+  return cases;
+}
+
+::testing::AssertionResult states_bitwise_equal(const Grid& a, const Grid& b) {
+  for (int blk = 0; blk < a.block_count(); ++blk)
+    if (std::memcmp(a.block(blk).data(), b.block(blk).data(),
+                    a.block(blk).cells() * sizeof(Cell)) != 0)
+      return grids_bitwise_equal(a, b) << " (block " << blk << ")";
+  return ::testing::AssertionSuccess();
+}
+
+TEST(InitialCondition, CloudBuilderMatchesPerCellOracleBitwise) {
+  for (const IcCase& c : ic_cloud_cases())
+    for (const IcShape& s : kIcShapes) {
+      TwoPhaseIC ic;
+      ic.smoothing_cells = c.smoothing_cells;
+      Grid built(s.bx, s.by, s.bz, s.bs, kIcExtent);
+      Grid oracle(s.bx, s.by, s.bz, s.bs, kIcExtent);
+      set_cloud_ic(built, c.bubbles, ic);
+      oracle_cloud_ic(oracle, c.bubbles, ic);
+      EXPECT_TRUE(states_bitwise_equal(built, oracle)) << c.name << ", " << shape_name(s);
+    }
+}
+
+TEST(InitialCondition, ShockBubbleBuilderMatchesPerCellOracleBitwise) {
+  ShockBubbleIC centred;
+  ShockBubbleIC on_face;  // on the x = 0 face, in the shocked column, narrow interface
+  on_face.shock_x = 0.2;
+  on_face.bubble = Bubble{0.0, 0.25, 0.2, 0.15};
+  on_face.phases.smoothing_cells = 0.5;
+  for (const ShockBubbleIC& ic : {centred, on_face})
+    for (const IcShape& s : kIcShapes) {
+      Grid built(s.bx, s.by, s.bz, s.bs, kIcExtent);
+      Grid oracle(s.bx, s.by, s.bz, s.bs, kIcExtent);
+      set_shock_bubble_ic(built, ic);
+      oracle_shock_bubble_ic(oracle, ic);
+      EXPECT_TRUE(states_bitwise_equal(built, oracle))
+          << "bubble x " << ic.bubble.x << ", " << shape_name(s);
+    }
 }
 
 // --- Bitwise parity: building a scenario from its checked-in config must
