@@ -1,7 +1,8 @@
-// Halo/interior overlap bench: the same cluster workload runs with the
-// sequential schedule (full halo exchange stalls every RK stage) and with
-// the task-based overlap pipeline (pack, drain and halo processing run as
-// dependency-gated tasks hidden behind interior compute). Reports per-step
+// Halo/interior overlap bench: the same cluster workload runs under both
+// plans of the stage graph — exchange first (overlap off: a blocking halo
+// exchange precedes every RK stage's graph) and comm tasks in the graph
+// (overlap on: pack and drain are graph tasks, and halo-block labs wait on
+// the drain while interior blocks compute). Reports per-step
 // wall clock and exposed communication time, best of several repetitions
 // with the tracer off; a separate short traced run produces the phase split
 // and a chrome://tracing JSON for visual inspection.
@@ -91,8 +92,8 @@ int main() {
   std::printf("(best of %d reps x %d steps, tracer off)\n", reps, steps);
   std::printf("%-26s %12s %12s %12s %10s %8s\n", "schedule", "wall [ms]", "stall [ms]",
               "comm work", "stall %", "msgs");
-  print_row("sequential exchange", r_seq);
-  print_row("overlapped (OpenMP tasks)", r_ovl);
+  print_row("exchange first", r_seq);
+  print_row("comm tasks in graph", r_ovl);
   mpcf::bench::print_rule();
   if (r_ovl.stall > 0)
     std::printf("stall reduction: %.2fx (%.2f -> %.2f ms)\n", r_seq.stall / r_ovl.stall,
@@ -100,7 +101,7 @@ int main() {
   else
     std::printf("stall reduction: %.2f ms -> none exposed\n", 1e3 * r_seq.stall);
   std::printf(
-      "comm work moved into the task region: %.2f ms (of which recv %.2f ms),\n"
+      "comm work moved into the stage graph: %.2f ms (of which recv %.2f ms),\n"
       "interleaved with interior compute instead of blocking the step loop\n",
       1e3 * r_ovl.comm_work, 1e3 * r_ovl.stats.recv_seconds);
 
@@ -114,10 +115,9 @@ int main() {
 
   using perf::TracePhase;
   const auto& tr = traced->tracer();
-  std::puts("\nphase split of a 2-step traced overlapped run (thread-seconds):");
-  // kInterior/kHalo carry the membership split on both schedules; the fused
-  // pipeline additionally splits its block tasks into lab assembly (kLab)
-  // and pure RHS (kRhs) spans, so RHS time never reads as zero under fusion.
+  std::puts("\nphase split of a 2-step traced comm-tasks-in-graph run (thread-seconds):");
+  // Each block task records its lab assembly (kLab), then its RHS twice
+  // over the same interval: as membership (kInterior/kHalo) and as kRhs.
   for (const TracePhase p : {TracePhase::kExchange, TracePhase::kInterior,
                              TracePhase::kHalo, TracePhase::kLab, TracePhase::kRhs,
                              TracePhase::kUpdate, TracePhase::kReduce})

@@ -1,11 +1,10 @@
-// STEP bench: the fused per-block step pipeline (DESIGN.md §14) against the
-// staged barrier-separated sweeps it replaces. Measures whole-step
-// throughput (compute_dt + three RK stages + positivity guard) on a cloud
-// workload, verifies the two schedules stay bitwise-identical, and reports
-// the speedup. The fused schedule's wins come from cache-hot lab->RHS->update
-// chaining, the removed stage barriers, and the SOS reduction folded into
-// the step (no standalone sweep in steady state) — all of which need
-// multiple cores to show up fully; single-core hosts are flagged as such.
+// STEP bench: whole-step throughput (compute_dt + three RK stages +
+// positivity guard) of the step engine — the per-block dependency graph of
+// DESIGN.md §14 — on a cloud workload, in ms/step. Before timing, a
+// one-thread run and an N-thread run of the same engine (N = the OpenMP
+// thread count, at least 2) must agree bit for bit: the graph's
+// interleaving may never leak into the result. Single-core hosts are
+// flagged as such.
 //
 //   bench_step [--steps N] [--blocks B] [--bs S] [--smoke] [--json [path]]
 //
@@ -14,6 +13,7 @@
 // absent; an existing step section is replaced).
 #include <omp.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -29,11 +29,10 @@ namespace {
 
 using namespace mpcf;
 
-Simulation::Params step_params(bool fused) {
+Simulation::Params step_params() {
   Simulation::Params p;
   p.extent = 1e-3;
   p.bc = BoundaryConditions::all(BCType::kAbsorbing);
-  p.fused_step = fused;
   return p;
 }
 
@@ -48,13 +47,23 @@ bool bitwise_equal(const Grid& a, const Grid& b) {
 
 /// Seconds per step of a freshly initialized simulation (first step excluded:
 /// it pays the one-time graph build, workspace allocation and SOS sweep).
-double seconds_per_step(bool fused, int blocks, int bs, int steps) {
-  Simulation sim(blocks, blocks, blocks, bs, step_params(fused));
+double seconds_per_step(int blocks, int bs, int steps) {
+  Simulation sim(blocks, blocks, blocks, bs, step_params());
   bench::init_cloud_state(sim.grid());
   sim.step();  // warm up
   Timer t;
   for (int s = 0; s < steps; ++s) sim.step();
   return t.seconds() / steps;
+}
+
+/// Two steps of a fresh simulation on `threads` OpenMP threads; returns it
+/// with its dt sequence in `dts`.
+Simulation run_two_steps(int blocks, int bs, int threads, double dts[2]) {
+  omp_set_num_threads(threads);
+  Simulation sim(blocks, blocks, blocks, bs, step_params());
+  bench::init_cloud_state(sim.grid());
+  for (int s = 0; s < 2; ++s) dts[s] = sim.step();
+  return sim;
 }
 
 /// Inserts (or replaces) the "step" section in the kernels JSON artifact,
@@ -118,34 +127,27 @@ int main(int argc, char** argv) {
   }
 
   const int threads = omp_get_max_threads();
-  std::printf("STEP schedule bench: %d^3 blocks of %d^3 cells, %d timed steps, "
+  std::printf("STEP bench: %d^3 blocks of %d^3 cells, %d timed steps, "
               "%d threads, width %s\n",
               blocks, bs, steps, threads, simd::width_name(simd::dispatch_width()));
 
-  // Conformance first: both schedules from the same state, dt and final grid
-  // must agree bit-for-bit.
-  Simulation staged_chk(blocks, blocks, blocks, bs, step_params(false));
-  Simulation fused_chk(blocks, blocks, blocks, bs, step_params(true));
-  bench::init_cloud_state(staged_chk.grid());
-  bench::init_cloud_state(fused_chk.grid());
-  bool identical = true;
-  for (int s = 0; s < 2 && identical; ++s)
-    identical = staged_chk.step() == fused_chk.step();
-  identical = identical && bitwise_equal(staged_chk.grid(), fused_chk.grid());
-  std::printf("bitwise identity (2 steps): %s\n", identical ? "OK" : "MISMATCH");
+  // Conformance first: the same engine on one thread and on N threads,
+  // from the same state — dt and final grid must agree bit for bit.
+  const int nt = std::max(2, threads);
+  double dts_one[2], dts_many[2];
+  const Simulation one = run_two_steps(blocks, bs, 1, dts_one);
+  const Simulation many = run_two_steps(blocks, bs, nt, dts_many);
+  omp_set_num_threads(threads);
+  const bool identical = dts_one[0] == dts_many[0] && dts_one[1] == dts_many[1] &&
+                         bitwise_equal(one.grid(), many.grid());
+  std::printf("bitwise identity (2 steps, 1 vs %d threads): %s\n", nt,
+              identical ? "OK" : "MISMATCH");
   if (!identical) return 1;
 
-  const double staged_s = seconds_per_step(false, blocks, bs, steps);
-  const double fused_s = seconds_per_step(true, blocks, bs, steps);
-  const double speedup = staged_s / fused_s;
+  const double step_s = seconds_per_step(blocks, bs, steps);
 
   mpcf::bench::print_rule();
-  std::printf("  staged  %9.3f ms/step\n", staged_s * 1e3);
-  std::printf("  fused   %9.3f ms/step\n", fused_s * 1e3);
-  std::printf("  speedup %9.2fx%s\n", speedup,
-              threads == 1 ? "  (single core: barrier removal and SOS folding "
-                             "only; fusion gains need >1 thread)"
-                           : "");
+  std::printf("  step    %9.3f ms/step\n", step_s * 1e3);
   mpcf::bench::print_rule();
 
   if (json_path != nullptr) {
@@ -153,11 +155,9 @@ int main(int argc, char** argv) {
     std::snprintf(section, sizeof(section),
                   "{\"blocks\": %d, \"block_size\": %d, \"steps\": %d, "
                   "\"threads\": %d, \"cores\": %d, \"single_core\": %s, "
-                  "\"staged_ms_per_step\": %.3f, \"fused_ms_per_step\": %.3f, "
-                  "\"speedup\": %.3f, \"bitwise_identical\": true}",
+                  "\"ms_per_step\": %.3f, \"bitwise_identical\": true}",
                   blocks, bs, steps, threads, omp_get_num_procs(),
-                  omp_get_num_procs() == 1 ? "true" : "false", staged_s * 1e3,
-                  fused_s * 1e3, speedup);
+                  omp_get_num_procs() == 1 ? "true" : "false", step_s * 1e3);
     return splice_json(json_path, section);
   }
   (void)smoke;  // smoke's job is the bitwise gate above + the tiny shape

@@ -5,8 +5,8 @@
 // backend is the in-memory mailbox (all ranks in-process, the test oracle);
 // tools/mpcf-run swaps in the POSIX shared-memory backend via
 // make_env_transport so N ranks run as N processes. All operations are
-// thread-safe: the overlapped step schedule drains messages from concurrent
-// OpenMP tasks.
+// thread-safe: the overlap plan of the stage graph drains messages from
+// concurrent worker threads.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +77,7 @@ class SimComm {
     std::uint64_t bytes = 0;
     std::uint64_t collectives = 0;
     /// Wall-clock spent inside recv calls (match + dequeue + blocking wait).
-    /// Under the overlapped schedule this is drain time hidden behind
-    /// compute.
+    /// Under the overlap plan this is drain time hidden behind compute.
     double recv_seconds = 0;
     /// Wall-clock the step loop stalls on communication with no RHS work
     /// running (filled by the cluster layer: the full exchange on the

@@ -1,20 +1,20 @@
-// Fused per-block step pipeline (DESIGN.md §14): a block-granular
-// dependency-driven task scheduler replacing the barrier-separated
-// lab/RHS/update sweeps of the staged schedule.
+// Per-block step pipeline (DESIGN.md §14): the block-granular
+// dependency-driven task scheduler behind every step, node and cluster. Its
+// conformance oracle is the staged RK3 of tests/reference_stepper.h.
 //
 // One kLabRhs task assembles a block's ghost lab and immediately evaluates
 // its RHS on the same thread (cache-hot); one kUpdate task applies the RK
 // update. Tasks become runnable when per-task atomic dependency counters
 // reach zero — a block may be a full RK stage ahead of a slow neighbour, and
 // no grid-wide barrier exists inside a step. The counter seeding makes the
-// execution *bitwise identical* to the staged schedule: a block's lab waits
+// execution *bitwise identical* to staged sweeps: a block's lab waits
 // for exactly the previous-stage updates of its readset (the blocks its
 // assembly reads, BlockTopology), and a block's update waits for every
 // consumer lab to have copied its data (fired eagerly after the lab portion
 // of a kLabRhs task, before the RHS runs) plus the block's own RHS. Since
 // per-block lab/RHS/update arithmetic is deterministic in the lab contents,
 // any interleaving respecting those constraints reproduces the staged
-// result bit for bit. The final stage's update tasks optionally fold the
+// sweeps' result bit for bit. The final stage's update tasks optionally fold the
 // next step's SOS max-speed reduction (order-independent max), deleting the
 // standalone seventh grid sweep from the steady-state step.
 //
@@ -72,8 +72,9 @@ class StepScheduler {
   /// `with_comm`, per-plan pack/drain tasks carry the halo exchange inside
   /// the graph (packs seed first and gate the updates of the blocks they
   /// read; every drain waits on every local pack — all sends posted before
-  /// any blocking receive, the deadlock-avoidance of the staged overlap
-  /// schedule — and gates the plan's halo-block labs). Without it the caller
+  /// any blocking receive, so two ranks can never sit in each other's
+  /// blocking recv with their packs still queued — and gates the plan's
+  /// halo-block labs). Without it the caller
   /// exchanges halos before each run() and no comm tasks exist.
   void build_cluster_graph(const std::vector<ClusterPlan>& plans, bool with_comm);
 

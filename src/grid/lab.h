@@ -155,7 +155,7 @@ class BlockLab {
     load(grid, bx, by, bz, bc, static_cast<const NoOverride*>(nullptr));
   }
 
-  /// Consumption hook for the fused step scheduler: the set of source blocks
+  /// Consumption hook for the step scheduler: the set of source blocks
   /// the last bulk load() may have read, linearized through `idx` and
   /// appended to `out` sorted ascending (out is cleared first). Computed as
   /// the product of the per-axis fold tables, so it is a conservative

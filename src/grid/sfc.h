@@ -59,7 +59,7 @@ class BlockIndexer {
 /// Block-dependency topology of a grid under its boundary conditions: for
 /// every block b, `readset(b)` is the set of source blocks b's ghost-lab
 /// assembly may read, and `consumers(b)` is the transpose — the blocks whose
-/// labs read b's data. The fused step scheduler seeds its per-stage
+/// labs read b's data. The step scheduler seeds its per-stage
 /// dependency counters from these sets (DESIGN.md §14).
 ///
 /// The readset is derived from the same per-axis index folding BlockLab's

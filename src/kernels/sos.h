@@ -16,7 +16,7 @@ namespace mpcf::kernels {
 [[nodiscard]] double block_max_speed_simd(const Block& block,
                                           simd::Width width = simd::Width::kAuto);
 
-/// Reduction-into-accumulator entry point for the fused step scheduler:
+/// Reduction-into-accumulator entry point for the step scheduler:
 /// max-combines the block's maximum characteristic velocity into `acc`
 /// (per-thread running max; thread accumulators max-combine at the join, so
 /// the folded reduction is bitwise-equal to the standalone sweep — max is

@@ -29,9 +29,8 @@ enum class TracePhase : int {
   kWait,          ///< blocked inside the transport (recv with no message
                   ///< staged) — on the shm backend this is real cross-process
                   ///< wait time, visible as gaps in the overlap pipeline
-  kLab,           ///< ghost-lab assembly of one block (fused step tasks; the
-                  ///< staged schedule folds lab time into interior/halo)
-  kRhs,           ///< RHS evaluation of one assembled lab (fused step tasks)
+  kLab,           ///< ghost-lab assembly of one block (step graph tasks)
+  kRhs,           ///< RHS evaluation of one assembled lab (step graph tasks)
 };
 constexpr int kNumTracePhases = 10;
 

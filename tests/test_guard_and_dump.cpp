@@ -79,6 +79,25 @@ TEST(PositivityGuard, LeavesHealthyCellsAlone) {
   EXPECT_EQ(sim.params().clamped_cells, 0);
 }
 
+TEST(PositivityGuard, ReturnsPostClampVmaxAndDropsCachedVmax) {
+  Simulation::Params prm;
+  prm.extent = 1e-3;
+  Simulation sim(2, 2, 2, 8, prm);
+  std::vector<Bubble> one{Bubble{0.5e-3, 0.5e-3, 0.5e-3, 0.2e-3}};
+  set_cloud_ic(sim.grid(), one, TwoPhaseIC{});
+  sim.step();  // sweeps once, then caches the folded vmax
+  ASSERT_EQ(sim.profile().sos_sweeps, 1);
+
+  sim.grid().cell(4, 4, 4).rho = -1.0f;
+  const double vmax = sim.apply_positivity_guard();
+  EXPECT_EQ(sim.grid().cell(4, 4, 4).rho, static_cast<Real>(prm.rho_floor));
+  // The guard dropped the cache: compute_dt sweeps the clamped state, and
+  // that sweep's max speed is exactly the one the guard returned.
+  const double dt = sim.compute_dt();
+  EXPECT_EQ(sim.profile().sos_sweeps, 2);
+  EXPECT_EQ(dt, prm.cfl * sim.grid().h() / vmax);
+}
+
 TEST(SimulationDump, WritesReadableFilesAndAccountsIoTime) {
   Simulation::Params prm;
   prm.extent = 1e-3;

@@ -127,7 +127,7 @@ TEST(LabAssembly, OverrideInterceptsExactlyTheOutOfDomainCells) {
   bulk.resize(8);
   for (int bx = 0; bx < 2; ++bx) {
     SCOPED_TRACE(testing::Message() << "block x " << bx);
-    // The per-cell oracle (the old rhs_one_block fetch) consults the
+    // The per-cell oracle (the fetch the bulk load replaced) consults the
     // override for *every* ghost cell, in-domain ones included.
     oracle.load(g, bx, 0, 0, [&](int ix, int iy, int iz) {
       Cell c;
