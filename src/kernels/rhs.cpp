@@ -289,7 +289,7 @@ void back(RhsWorkspace& ws, Real h, Real a, Block& block) {
 }  // namespace
 
 void RhsWorkspace::resize(int bs, int ghosts) {
-  require(bs > 0 && bs % 4 == 0, "RhsWorkspace: block size must be a positive multiple of 4");
+  require(valid_block_size(bs), "RhsWorkspace: block size must be a positive multiple of 4");
   require(ghosts >= 3, "RhsWorkspace: WENO5 needs at least 3 ghosts");
   bs_ = bs;
   g_ = ghosts;

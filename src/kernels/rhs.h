@@ -30,6 +30,12 @@ namespace mpcf::kernels {
 
 enum class KernelImpl { kScalar, kSimd, kSimdFused };
 
+/// Block sizes the RHS workspace, and so every simulation, accepts:
+/// positive multiples of the 4-lane vector width. All of them are at least
+/// kGhosts deep, so a block's ghosts come from its face neighbours only.
+[[nodiscard]] constexpr bool valid_block_size(int bs) noexcept { return bs > 0 && bs % 4 == 0; }
+static_assert(kGhosts <= 4, "the smallest valid block must cover the ghost depth");
+
 /// Per-thread scratch for one block evaluation: ghost-extended primitive
 /// arrays, flux-difference accumulators, and staged-WENO row buffers.
 class RhsWorkspace {
