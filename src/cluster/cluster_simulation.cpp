@@ -399,9 +399,10 @@ void ClusterSimulation::ensure_stage_graph(bool with_comm) {
   graph_with_comm_ = with_comm;
 }
 
-void ClusterSimulation::advance_stage(int stage, double dt, bool fold_sos) {
+void ClusterSimulation::advance_stage(int stage, double dt) {
   const double a = LsRk3::a[stage];
   const double b_dt = LsRk3::b[stage] * dt;
+  const bool final_stage = stage == LsRk3::kStages - 1;
   if (overlap_) {
     ++epoch_;  // pack/drain tasks run inside the graph under this epoch
   } else {
@@ -425,14 +426,17 @@ void ClusterSimulation::advance_stage(int stage, double dt, bool fold_sos) {
     perf::TraceSpan span(tracer_, perf::TracePhase::kRhs, r);
     sims_[r]->rhs_from_lab(a, block, tid);
   };
-  hooks.update = [this, b_dt](int, int plan, int block, int) {
+  hooks.update = [this, b_dt, final_stage](int, int plan, int block, int) {
     const int r = plan_ranks_[static_cast<std::size_t>(plan)];
     perf::TraceSpan span(tracer_, perf::TracePhase::kUpdate, r);
     sims_[r]->update_one(b_dt, block);
+    // Every consumer lab (and the pack, if any) has read the block: clamp.
+    if (final_stage) (void)sims_[r]->clamp_one(block);
   };
-  hooks.sos = [this](int plan, int block, double& acc) {
-    sims_[plan_ranks_[static_cast<std::size_t>(plan)]]->accumulate_block_speed(block, acc);
-  };
+  if (final_stage)
+    hooks.sos = [this](int plan, int block, double& acc) {
+      sims_[plan_ranks_[static_cast<std::size_t>(plan)]]->accumulate_block_speed(block, acc);
+    };
   hooks.pack = [this](int plan) {
     pack_rank_sends(plan_ranks_[static_cast<std::size_t>(plan)]);  // traced kExchange
   };
@@ -445,7 +449,7 @@ void ClusterSimulation::advance_stage(int stage, double dt, bool fold_sos) {
   std::vector<double> vmax;
   std::vector<StepScheduler::PlanTimes> times;
   Timer region;
-  stage_sched_->run(hooks, omp_get_max_threads(), fold_sos, &vmax, &times);
+  stage_sched_->run(hooks, omp_get_max_threads(), &vmax, &times);
   const double wall = region.seconds();
 
   // The step loop never blocked on in-graph comm (comm_time_ untouched on
@@ -469,19 +473,15 @@ void ClusterSimulation::advance_stage(int stage, double dt, bool fold_sos) {
       prof.dt += wall * t.sos / total;
     }
   }
-  if (fold_sos)
+  if (final_stage)
     for (std::size_t p = 0; p < plan_ranks_.size(); ++p)
       sims_[plan_ranks_[p]]->cache_step_vmax(vmax[p]);
 }
 
 void ClusterSimulation::advance(double dt) {
-  const bool guard = front_sim().params().rho_floor > 0 || front_sim().params().p_floor > 0;
   for (const int r : local_) sims_[r]->ensure_thread_workspaces();
   ensure_stage_graph(overlap_);
-  for (int s = 0; s < LsRk3::kStages; ++s)
-    advance_stage(s, dt, !guard && s == LsRk3::kStages - 1);
-  if (guard)
-    for (const int r : local_) sims_[r]->cache_step_vmax(sims_[r]->apply_positivity_guard());
+  for (int s = 0; s < LsRk3::kStages; ++s) advance_stage(s, dt);
   time_ += dt;
   ++steps_;
 }

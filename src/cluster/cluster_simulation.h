@@ -79,7 +79,8 @@ class ClusterSimulation {
   [[nodiscard]] double compute_dt();
 
   /// One step: per RK stage one stage graph over all local ranks (plan per
-  /// set_overlap), then each rank's positivity guard when floors are active.
+  /// set_overlap); the final stage's updates also apply each rank's
+  /// positivity guard and fold the next step's SOS reduction.
   void advance(double dt);
   double step();
 
@@ -190,10 +191,10 @@ class ClusterSimulation {
   void unpack_halo_slab(int r, int axis, int side, const std::vector<float>& msg);
   /// One RK stage (DESIGN.md §14): one dependency-counted graph of
   /// lab->RHS and update tasks across all local ranks, with pack/drain
-  /// tasks feeding the same counters when overlap is on. With `fold_sos`
-  /// the final-stage updates fold the SOS reduction, so the next compute_dt
-  /// skips its sweep.
-  void advance_stage(int stage, double dt, bool fold_sos);
+  /// tasks feeding the same counters when overlap is on. On the final RK
+  /// stage each update also clamps its block (Simulation::clamp_one) and
+  /// folds its SOS, so the next compute_dt skips its sweep.
+  void advance_stage(int stage, double dt);
   /// (Re)builds the cluster stage graph when the overlap mode changed.
   void ensure_stage_graph(bool with_comm);
   [[nodiscard]] const Simulation& front_sim() const { return *sims_[local_.front()]; }

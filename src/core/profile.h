@@ -18,9 +18,9 @@ struct StepProfile {
   double io = 0;    ///< compressed data dumps (FWT + encode + write)
   long steps = 0;   ///< number of completed steps
   /// Standalone SOS grid sweeps executed by compute_dt. The step graph folds
-  /// the reduction into its final stage (or the positivity guard), so in
-  /// steady state this stays at the one step-0 sweep — the counter is how
-  /// tests verify the seventh sweep is actually gone (ISSUE 8).
+  /// the reduction into its final-stage updates, so in steady state this
+  /// stays at the one step-0 sweep — the counter is how tests verify the
+  /// seventh sweep is actually gone.
   long sos_sweeps = 0;
 
   [[nodiscard]] double total() const { return rhs + dt + up + io; }

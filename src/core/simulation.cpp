@@ -3,6 +3,7 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <string_view>
 
@@ -44,21 +45,15 @@ double Simulation::compute_dt() {
   Timer timer;
   double vmax = 0;
   if (folded_vmax_valid_) {
-    // advance already folded this reduction into its final stage (or the
-    // positivity guard); consume the cached maximum instead of sweeping the
-    // grid again. One-shot: any later mutation of the state must go
-    // through a fresh sweep.
+    // advance already folded this reduction into its final-stage updates;
+    // consume the cached maximum instead of sweeping the grid again.
+    // One-shot: any later mutation of the state must go through a fresh
+    // sweep.
     vmax = folded_vmax_;
     folded_vmax_valid_ = false;
   } else {
-    const bool simd = params_.impl != kernels::KernelImpl::kScalar;
 #pragma omp parallel for schedule(static) reduction(max : vmax)
-    for (int i = 0; i < grid_.block_count(); ++i) {
-      const Block& b = grid_.block(i);
-      const double v = simd ? kernels::block_max_speed_simd(b, params_.width)
-                            : kernels::block_max_speed(b);
-      vmax = std::max(vmax, v);
-    }
+    for (int i = 0; i < grid_.block_count(); ++i) accumulate_block_speed(i, vmax);
     ++profile_.sos_sweeps;
   }
   profile_.dt += timer.seconds();
@@ -106,9 +101,10 @@ void Simulation::update_one(double b_dt, int block_id) {
 }
 
 void Simulation::accumulate_block_speed(int block_id, double& acc) const {
-  kernels::block_max_speed_accumulate(grid_.block(block_id),
-                                      params_.impl != kernels::KernelImpl::kScalar,
-                                      params_.width, acc);
+  const Block& b = grid_.block(block_id);
+  acc = std::max(acc, params_.impl != kernels::KernelImpl::kScalar
+                          ? kernels::block_max_speed_simd(b, params_.width)
+                          : kernels::block_max_speed(b));
 }
 
 const BlockTopology& Simulation::step_topology() {
@@ -129,10 +125,6 @@ void Simulation::advance(double dt) {
           "Simulation::advance: a cluster rank is stepped by its ClusterSimulation");
   ensure_thread_workspaces();
   ensure_step_graph();
-  // With positivity floors active the guard mutates the state compute_dt
-  // would read, so the SOS reduction folds into the guard sweep instead of
-  // the final-stage update tasks.
-  const bool guard = params_.rho_floor > 0 || params_.p_floor > 0;
 
   StepScheduler::Hooks hooks;
   hooks.lab = [this](int, int, int block, int tid) { assemble_lab(block, tid); };
@@ -149,13 +141,16 @@ void Simulation::advance(double dt) {
 #if MPCF_CHECKED
     verify_block("update", stage, block);
 #endif
+    // Every consumer lab has copied the block and nothing reads it again
+    // this step, so the guard clamps here, ahead of the SOS fold.
+    if (stage == LsRk3::kStages - 1) (void)clamp_one(block);
   };
   hooks.sos = [this](int, int block, double& acc) { accumulate_block_speed(block, acc); };
 
   std::vector<double> vmax;
   std::vector<StepScheduler::PlanTimes> times;
   Timer region;
-  sched_->run(hooks, omp_get_max_threads(), !guard, &vmax, &times);
+  sched_->run(hooks, omp_get_max_threads(), &vmax, &times);
   const double wall = region.seconds();
 
   // profile().lab keeps its thread-seconds meaning; the region wall clock is
@@ -170,15 +165,17 @@ void Simulation::advance(double dt) {
     profile_.dt += wall * t.sos / work;
   }
 
-  cache_step_vmax(guard ? apply_positivity_guard() : vmax.front());
+  cache_step_vmax(vmax.front());
   time_ += dt;
   ++profile_.steps;
 }
 
-long Simulation::clamp_block(Block& b) const {
+long Simulation::clamp_one(int block_id) {
+  if (!(params_.rho_floor > 0 || params_.p_floor > 0)) return 0;
   const Real rfloor = static_cast<Real>(params_.rho_floor);
   const Real pfloor = static_cast<Real>(params_.p_floor);
   long clamped = 0;
+  Block& b = grid_.block(block_id);
   Cell* cells = b.data();
   const std::size_t n = b.cells();
   for (std::size_t k = 0; k < n; ++k) {
@@ -209,24 +206,11 @@ long Simulation::clamp_block(Block& b) const {
     }
     if (touched) ++clamped;
   }
+  if (clamped == 0) return 0;
+  // order: relaxed — a pure event counter (blocks clamp concurrently); it is
+  // read only outside the step, after the scheduler's region has joined.
+  std::atomic_ref<long>(params_.clamped_cells).fetch_add(clamped, std::memory_order_relaxed);
   return clamped;
-}
-
-double Simulation::apply_positivity_guard() {
-  const bool simd = params_.impl != kernels::KernelImpl::kScalar;
-  long clamped = 0;
-  double v = 0;
-  // Per block: clamp first, then fold its max speed — the folded maximum is
-  // exactly what a post-guard compute_dt sweep would reduce.
-#pragma omp parallel for schedule(static) reduction(+ : clamped) reduction(max : v)
-  for (int i = 0; i < grid_.block_count(); ++i) {
-    clamped += clamp_block(grid_.block(i));
-    kernels::block_max_speed_accumulate(grid_.block(i), simd, params_.width, v);
-  }
-  params_.clamped_cells += clamped;
-  // The clamp may have changed the state a folded vmax was computed from.
-  invalidate_speed_cache();
-  return v;
 }
 
 #if MPCF_CHECKED

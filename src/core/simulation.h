@@ -40,13 +40,14 @@ class Simulation {
     /// backend the build + host support (env MPCF_SIMD_WIDTH overrides).
     simd::Width width = simd::Width::kAuto;
     int weno_order = 5;  ///< 5 = production WENO5; 3 = low-order ablation
-    /// Positivity guard applied after each step: floors for density and
-    /// pressure keep marginally-resolved collapses (few cells per radius)
-    /// from going NaN. The paper runs at 50+ points per radius and does not
-    /// need this; at reproduction scale we do. Set floors <= 0 to disable.
+    /// Positivity guard, applied inside each final-stage update: floors for
+    /// density and pressure keep marginally-resolved collapses (few cells
+    /// per radius) from going NaN. The paper runs at 50+ points per radius
+    /// and does not need this; at reproduction scale we do. Set floors <= 0
+    /// to disable.
     double rho_floor = 1e-3;
     double p_floor = 1.0;
-    /// Cells clamped so far (written by advance; diagnostic only).
+    /// Cells clamped so far (counted by clamp_one; diagnostic only).
     long clamped_cells = 0;
   };
 
@@ -74,9 +75,10 @@ class Simulation {
   [[nodiscard]] double compute_dt();
 
   /// Advances one step of the given size: the three RK stages run as one
-  /// dependency-scheduled block graph (DESIGN.md §14), followed by the
-  /// positivity guard when floors are active. A cluster rank (ghost
-  /// override set) is stepped by its ClusterSimulation instead.
+  /// dependency-scheduled block graph (DESIGN.md §14); each block's
+  /// final-stage update also applies the positivity guard and folds the next
+  /// step's SOS reduction. A cluster rank (ghost override set) is stepped by
+  /// its ClusterSimulation instead.
   void advance(double dt);
 
   /// compute_dt + advance; returns the dt taken.
@@ -106,15 +108,15 @@ class Simulation {
   void rhs_from_lab(double a_coeff, int block_id, int tid);
   /// RK update of one block: data += b_dt * tmp.
   void update_one(double b_dt, int block_id);
-  /// Folds `block_id`'s max characteristic speed into `acc` with the same
-  /// per-block kernel compute_dt's sweep uses (max is order-independent, so
-  /// a folded accumulation is bitwise-equal to the sweep's reduction).
+  /// Positivity guard of one block (after its final-stage update, before
+  /// its SOS fold): clamps its cells to the floors, adds the count to
+  /// params().clamped_cells atomically and returns it; returns 0 without
+  /// touching the block when both floors are <= 0.
+  long clamp_one(int block_id);
+  /// Folds `block_id`'s max characteristic speed into `acc`; compute_dt's
+  /// fresh sweep makes the same call per block (max is order-independent,
+  /// so a folded accumulation is bitwise-equal to the sweep's reduction).
   void accumulate_block_speed(int block_id, double& acc) const;
-  /// Positivity guard: clamps every cell to the density/pressure floors and
-  /// returns the grid's post-clamp max characteristic speed, folded in the
-  /// same sweep (the guard mutates the state compute_dt would read). Drops
-  /// any cached step vmax; advance re-publishes the returned value.
-  double apply_positivity_guard();
   /// Publishes a folded step vmax for the next compute_dt (one-shot cache;
   /// set by advance, consumed and cleared by compute_dt). Exposed for the
   /// cluster layer's stage driver.
@@ -123,8 +125,8 @@ class Simulation {
     folded_vmax_valid_ = true;
   }
   /// Drops the folded vmax; callers that mutate grid cells between an
-  /// advance and the next compute_dt must call this (scatter, restarts and
-  /// the guard do it automatically).
+  /// advance and the next compute_dt must call this (scatter and restarts
+  /// do it automatically).
   void invalidate_speed_cache() noexcept { folded_vmax_valid_ = false; }
 
   /// Block readset/consumer tables of this grid under its BCs, built lazily
@@ -160,8 +162,6 @@ class Simulation {
  private:
   /// Lazily builds the node-layer step graph.
   void ensure_step_graph();
-  /// Clamps one block's cells to the positivity floors; returns the count.
-  long clamp_block(Block& block) const;
 
   Grid grid_;
   Params params_;

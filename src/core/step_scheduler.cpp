@@ -62,7 +62,7 @@ void StepScheduler::build_cluster_graph(const std::vector<ClusterPlan>& plans,
   require(np >= 1 && np <= 65535, "StepScheduler: invalid plan count");
 
   plan_count_ = np;
-  sos_stage_ = 0;  // single-stage graph; the caller folds on the final RK stage
+  sos_stage_ = 0;  // single-stage graph; the caller sets hooks.sos on the final RK stage
   std::vector<int> base(np);
   int cursor = 0, total_blocks = 0;
   for (int p = 0; p < np; ++p) {
@@ -159,7 +159,7 @@ void StepScheduler::finalize(std::vector<std::vector<int>>& mid,
   pending_ = std::make_unique<std::atomic<int>[]>(static_cast<std::size_t>(n));
 }
 
-void StepScheduler::run(const Hooks& hooks, int nthreads, bool fold_sos,
+void StepScheduler::run(const Hooks& hooks, int nthreads,
                         std::vector<double>* vmax_per_plan,
                         std::vector<PlanTimes>* times) {
   const int n = task_count();
@@ -229,7 +229,7 @@ void StepScheduler::run(const Hooks& hooks, int nthreads, bool fold_sos,
       case Task::Kind::kUpdate:
         hooks.update(task.stage, task.plan, task.block, tid);
         pt.up += tm.seconds();
-        if (fold_sos && task.stage == sos_stage_) {
+        if (hooks.sos && task.stage == sos_stage_) {
           tm.restart();
           hooks.sos(task.plan, task.block, vm[static_cast<std::size_t>(tid) * np + task.plan]);
           pt.sos += tm.seconds();

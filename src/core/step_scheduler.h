@@ -14,8 +14,9 @@
 // of a kLabRhs task, before the RHS runs) plus the block's own RHS. Since
 // per-block lab/RHS/update arithmetic is deterministic in the lab contents,
 // any interleaving respecting those constraints reproduces the staged
-// sweeps' result bit for bit. The final stage's update tasks optionally fold the
-// next step's SOS max-speed reduction (order-independent max), deleting the
+// sweeps' result bit for bit. The final stage's update tasks fold the next
+// step's SOS max-speed reduction (order-independent max) after the update
+// hook, which also applies the positivity guard there, deleting the
 // standalone seventh grid sweep from the steady-state step.
 //
 // Two graph shapes share the executor: the node-layer graph spans all RK
@@ -43,8 +44,9 @@ class StepScheduler {
     std::function<void(int stage, int plan, int block, int tid)> lab;
     std::function<void(int stage, int plan, int block, int tid)> rhs;
     std::function<void(int stage, int plan, int block, int tid)> update;
-    /// Folds `block`'s max characteristic speed into `acc` (called after the
-    /// final-stage update of each block when run(fold_sos) is set).
+    /// Folds `block`'s max characteristic speed into `acc`; called after the
+    /// update hook of each block in the graph's final stage. Optional: a
+    /// cluster stage graph sets it only for the last RK stage.
     std::function<void(int plan, int block, double& acc)> sos;
     std::function<void(int plan)> pack;   ///< cluster graphs only
     std::function<void(int plan)> drain;  ///< cluster graphs only
@@ -83,13 +85,13 @@ class StepScheduler {
 
   /// Executes the current graph on `nthreads` workers (an OpenMP parallel
   /// region; per-thread work deques with chunked block->thread affinity,
-  /// work-stealing from the front of a victim's deque). `fold_sos` enables
-  /// the folded SOS reduction on final-stage updates; `vmax_per_plan` (may
-  /// be null) receives the per-plan folded maxima. `times` (may be null)
-  /// receives per-plan thread-seconds. The first hook exception aborts the
-  /// run and is rethrown here after the region drains.
-  void run(const Hooks& hooks, int nthreads, bool fold_sos,
-           std::vector<double>* vmax_per_plan, std::vector<PlanTimes>* times);
+  /// work-stealing from the front of a victim's deque). `vmax_per_plan`
+  /// (may be null) receives the per-plan maxima folded by `hooks.sos` (0
+  /// when it is unset). `times` (may be null) receives per-plan
+  /// thread-seconds. The first hook exception aborts the run and is
+  /// rethrown here after the region drains.
+  void run(const Hooks& hooks, int nthreads, std::vector<double>* vmax_per_plan,
+           std::vector<PlanTimes>* times);
 
  private:
   struct Task {
@@ -115,7 +117,7 @@ class StepScheduler {
   std::vector<int> seeds_;
   std::unique_ptr<std::atomic<int>[]> pending_;
   int plan_count_ = 0;
-  int sos_stage_ = 0;  ///< stage whose updates fold the SOS reduction
+  int sos_stage_ = 0;  ///< the graph's final stage: its updates fold SOS
   std::atomic<int> remaining_{0};
   std::atomic<bool> abort_{false};
 };

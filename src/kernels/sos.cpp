@@ -78,12 +78,6 @@ double block_max_speed_simd(const Block& block, simd::Width width) {
   }
 }
 
-void block_max_speed_accumulate(const Block& block, bool simd, simd::Width width,
-                                double& acc) {
-  const double v = simd ? block_max_speed_simd(block, width) : block_max_speed(block);
-  acc = std::max(acc, v);
-}
-
 double sos_flops(int bs) {
   // Counted from the expression tree above: ~19 arithmetic ops per cell.
   return 19.0 * bs * bs * static_cast<double>(bs);

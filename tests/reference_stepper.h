@@ -1,8 +1,8 @@
 // Reference stepper: the conformance oracle of the step engine. A
 // single-threaded staged RK3 over the public per-block hooks — per stage,
 // one lab-assembly + RHS sweep over every block, then one UPDATE sweep —
-// followed by the positivity guard (a per-cell clamp, so its own OpenMP
-// team cannot change the result), with dt from a fresh SOS sweep. The
+// followed by a positivity-guard sweep (clamp_one per block, a no-op when
+// the floors are off), with dt from a fresh SOS sweep. The
 // step graph (core/step_scheduler) must reproduce its dt sequence and final
 // state bit for bit at every SIMD width, thread count and cluster plan.
 #pragma once
@@ -26,8 +26,7 @@ inline double reference_step(Simulation& sim) {
     }
     for (int b = 0; b < nb; ++b) sim.update_one(LsRk3::b[s] * dt, b);
   }
-  if (sim.params().rho_floor > 0 || sim.params().p_floor > 0)
-    (void)sim.apply_positivity_guard();
+  for (int b = 0; b < nb; ++b) (void)sim.clamp_one(b);
   return dt;
 }
 

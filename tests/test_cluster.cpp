@@ -251,19 +251,20 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{4, 1, 1, BCType::kPeriodic},
                       std::tuple{2, 2, 1, BCType::kWall}));
 
-TEST(Cluster, BothPlansMatchReferenceStepperBitwise) {
-  // The stage graph's two plans — pack/drain tasks inside the graph
-  // (overlap on, the default) and a blocking exchange before each stage
-  // (overlap off) — must reproduce the staged single-threaded reference on
-  // the global grid: only the interleaving differs, and no block result may
-  // depend on it.
-  Simulation::Params params = cloud_params(BCType::kPeriodic);
+// The stage graph's two plans — pack/drain tasks inside the graph (overlap
+// on, the default) and a blocking exchange before each stage (overlap off)
+// — must reproduce the staged single-threaded reference on the global grid
+// (dt, every cell, and the guard's clamp count) for 2x1x1 and 2x2x2 ranks
+// at 1 and 4 threads: only the interleaving differs, and no block result
+// may depend on it. Stores the reference's clamp count in `ref_clamped`.
+void expect_plans_match_reference(const Simulation::Params& params, long* ref_clamped) {
   Simulation seed(4, 4, 4, 8, params);
   init_cloud(seed.grid());
   Simulation ref(4, 4, 4, 8, params);
   init_cloud(ref.grid());
   std::vector<double> ref_dts;
   for (int s = 0; s < 2; ++s) ref_dts.push_back(test::reference_step(ref));
+  *ref_clamped = ref.params().clamped_cells;
 
   const int saved_threads = omp_get_max_threads();
   for (const CartTopology topo : {CartTopology(2, 1, 1), CartTopology(2, 2, 2)})
@@ -285,8 +286,30 @@ TEST(Cluster, BothPlansMatchReferenceStepperBitwise) {
                     << "mismatch at " << ix << "," << iy << "," << iz << " q=" << q
                     << " ranks=" << topo.size() << " threads=" << nt
                     << " overlap=" << overlap;
+        long clamped = 0;
+        for (int r = 0; r < cs.rank_count(); ++r)
+          clamped += cs.rank_sim(r).params().clamped_cells;
+        ASSERT_EQ(clamped, *ref_clamped)
+            << "ranks=" << topo.size() << " threads=" << nt << " overlap=" << overlap;
       }
   omp_set_num_threads(saved_threads);
+}
+
+TEST(Cluster, BothPlansMatchReferenceStepperBitwise) {
+  long ref_clamped = 0;
+  expect_plans_match_reference(cloud_params(BCType::kPeriodic), &ref_clamped);
+}
+
+TEST(Cluster, BothPlansMatchReferenceStepperBitwiseWhileGuardFires) {
+  // A pressure floor above the bubbles' vapor pressure: cells clamp inside
+  // the final-stage updates of every rank from the first step on, so a
+  // clamp that ran before a consumer lab or a pack had read its block would
+  // show.
+  Simulation::Params params = cloud_params(BCType::kAbsorbing);
+  params.p_floor = 5e6;
+  long ref_clamped = 0;
+  ASSERT_NO_FATAL_FAILURE(expect_plans_match_reference(params, &ref_clamped));
+  EXPECT_GT(ref_clamped, 0);
 }
 
 TEST(Cluster, TracerCapturesPhasesAndExportsChromeJson) {

@@ -24,6 +24,13 @@ Cell liquid_cell(double p = 100e5) {
   return c;
 }
 
+// The guard over every block, as the final-stage updates apply it.
+long clamp_all(Simulation& sim) {
+  long n = 0;
+  for (int b = 0; b < sim.grid().block_count(); ++b) n += sim.clamp_one(b);
+  return n;
+}
+
 TEST(PositivityGuard, SanitizesNaNCells) {
   Simulation sim(1, 1, 1, 8);
   for (int iz = 0; iz < 8; ++iz)
@@ -33,7 +40,7 @@ TEST(PositivityGuard, SanitizesNaNCells) {
   bad.rho = std::numeric_limits<Real>::quiet_NaN();
   bad.ru = std::numeric_limits<Real>::infinity();
   bad.E = std::numeric_limits<Real>::quiet_NaN();
-  sim.apply_positivity_guard();
+  EXPECT_EQ(clamp_all(sim), 1);
   const Cell& fixed = sim.grid().cell(3, 4, 5);
   EXPECT_TRUE(std::isfinite(fixed.rho));
   EXPECT_TRUE(std::isfinite(fixed.ru));
@@ -60,7 +67,7 @@ TEST(PositivityGuard, FloorsNegativePressure) {
       }
   Cell& bad = sim.grid().cell(0, 0, 0);
   bad.E = static_cast<Real>(Pi - 1000.0);  // implies negative pressure
-  sim.apply_positivity_guard();
+  clamp_all(sim);
   const Cell& fixed = sim.grid().cell(0, 0, 0);
   const double p = (fixed.E - fixed.P) / fixed.G;
   EXPECT_GE(p, 0.9 * sim.params().p_floor);
@@ -73,29 +80,51 @@ TEST(PositivityGuard, LeavesHealthyCellsAlone) {
   Simulation::Params prm;
   set_cloud_ic(sim.grid(), one, TwoPhaseIC{});
   const Cell before = sim.grid().cell(5, 6, 7);
-  sim.apply_positivity_guard();
+  EXPECT_EQ(clamp_all(sim), 0);
   const Cell after = sim.grid().cell(5, 6, 7);
   for (int q = 0; q < kNumQuantities; ++q) EXPECT_EQ(after.q(q), before.q(q));
   EXPECT_EQ(sim.params().clamped_cells, 0);
 }
 
-TEST(PositivityGuard, ReturnsPostClampVmaxAndDropsCachedVmax) {
+TEST(PositivityGuard, DisabledFloorsLeaveNaNCellsAlone) {
+  Simulation::Params prm;
+  prm.rho_floor = 0;
+  prm.p_floor = -1;
+  Simulation sim(1, 1, 1, 8, prm);
+  for (int iz = 0; iz < 8; ++iz)
+    for (int iy = 0; iy < 8; ++iy)
+      for (int ix = 0; ix < 8; ++ix) sim.grid().cell(ix, iy, iz) = liquid_cell();
+  sim.grid().cell(3, 4, 5).rho = std::numeric_limits<Real>::quiet_NaN();
+  EXPECT_EQ(sim.clamp_one(0), 0);
+  EXPECT_TRUE(std::isnan(sim.grid().cell(3, 4, 5).rho));
+  EXPECT_EQ(sim.params().clamped_cells, 0);
+}
+
+TEST(PositivityGuard, FoldedDtOfClampingStepSweepsClampedState) {
+  // A pressure floor above the liquid's 100 bar clamps every cell inside
+  // the first step's final-stage updates and raises the maximum speed.
   Simulation::Params prm;
   prm.extent = 1e-3;
+  Simulation calm(2, 2, 2, 8, prm);
+  prm.p_floor = 2e7;
   Simulation sim(2, 2, 2, 8, prm);
   std::vector<Bubble> one{Bubble{0.5e-3, 0.5e-3, 0.5e-3, 0.2e-3}};
-  set_cloud_ic(sim.grid(), one, TwoPhaseIC{});
-  sim.step();  // sweeps once, then caches the folded vmax
-  ASSERT_EQ(sim.profile().sos_sweeps, 1);
+  for (Simulation* x : {&calm, &sim}) {
+    set_cloud_ic(x->grid(), one, TwoPhaseIC{});
+    x->step();  // sweeps once, then caches the folded vmax
+    ASSERT_EQ(x->profile().sos_sweeps, 1);
+  }
+  ASSERT_EQ(calm.params().clamped_cells, 0);
+  ASSERT_GT(sim.params().clamped_cells, 0);
 
-  sim.grid().cell(4, 4, 4).rho = -1.0f;
-  const double vmax = sim.apply_positivity_guard();
-  EXPECT_EQ(sim.grid().cell(4, 4, 4).rho, static_cast<Real>(prm.rho_floor));
-  // The guard dropped the cache: compute_dt sweeps the clamped state, and
-  // that sweep's max speed is exactly the one the guard returned.
+  // The folded maximum was taken after each block's clamp: it is exactly a
+  // fresh sweep of the clamped state, and not the unclamped state's.
+  double vmax = 0;
+  for (int b = 0; b < sim.grid().block_count(); ++b) sim.accumulate_block_speed(b, vmax);
   const double dt = sim.compute_dt();
-  EXPECT_EQ(sim.profile().sos_sweeps, 2);
+  EXPECT_EQ(sim.profile().sos_sweeps, 1);  // consumed the folded value
   EXPECT_EQ(dt, prm.cfl * sim.grid().h() / vmax);
+  EXPECT_NE(dt, calm.compute_dt());
 }
 
 TEST(SimulationDump, WritesReadableFilesAndAccountsIoTime) {

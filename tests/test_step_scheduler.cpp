@@ -1,11 +1,11 @@
 // Tests of the per-block step graph (DESIGN.md §14): the block dependency
 // topology the scheduler seeds its counters from, bitwise identity of the
 // node and cluster graphs against the staged reference stepper across SIMD
-// widths / thread counts / guard on-off / cluster plans, and the folded SOS
-// reduction (steady state runs no standalone sweep; the folded dt is
-// bit-equal to a fresh sweep's). Built under MPCF_CHECKED these runs
-// additionally exercise the scheduler's counter invariants and the lab
-// readset cross-validation.
+// widths / thread counts / guard on, firing and off / cluster plans, and
+// the folded SOS reduction (steady state runs no standalone sweep; the
+// folded dt is bit-equal to a fresh sweep's). Built under MPCF_CHECKED
+// these runs additionally exercise the scheduler's counter invariants and
+// the lab readset cross-validation.
 #include <gtest/gtest.h>
 #include <omp.h>
 
@@ -167,27 +167,38 @@ TEST(BlockTopology, ReadsetCoversActualLabLoads) {
 // --- Step graph vs reference stepper: node layer -------------------------
 
 TEST(StepGraph, BitwiseMatchesReferenceAcrossWidthsThreadsAndGuard) {
-  // Guard on: cloud IC, the SOS reduction folds into the guard sweep.
-  // Guard off: the smooth pulse never needs clamping, and the reduction
-  // folds into the final-stage update tasks instead.
+  // Guard on: cloud IC at the default floors, which this shape never
+  // reaches. Guard fires: the same cloud with a pressure floor above the
+  // bubbles' vapor pressure, so cells clamp inside the final-stage updates
+  // from the first step on. Guard off: the smooth pulse never needs
+  // clamping. In every arm the SOS reduction folds into the final-stage
+  // update tasks, after the clamp.
+  enum class Arm { kGuardOn, kGuardFires, kGuardOff };
   ThreadCountGuard tg;
-  for (const bool guard : {true, false}) {
+  for (const Arm arm : {Arm::kGuardOn, Arm::kGuardFires, Arm::kGuardOff}) {
+    const bool guard = arm != Arm::kGuardOff;
     for (const simd::Width w : executable_widths()) {
       for (const int nt : {1, 2, 8}) {
         omp_set_num_threads(nt);
         Simulation::Params p =
             cloud_params(guard ? BCType::kAbsorbing : BCType::kPeriodic, w);
         if (!guard) p.rho_floor = p.p_floor = -1.0;
+        if (arm == Arm::kGuardFires) p.p_floor = 5e6;
         Simulation ref(2, 2, 2, 8, p), sim(2, 2, 2, 8, p);
         for (Simulation* x : {&ref, &sim}) (guard ? init_cloud : init_pulse)(x->grid());
         for (int s = 0; s < 3; ++s) {
           // The folded dt must match the reference's fresh sweep bit for
           // bit, every step.
           ASSERT_EQ(test::reference_step(ref), sim.step())
-              << "dt diverged at step " << s << " guard=" << guard
+              << "dt diverged at step " << s << " arm=" << static_cast<int>(arm)
               << " width=" << static_cast<int>(w) << " threads=" << nt;
         }
         expect_grids_bitwise_equal(ref.grid(), sim.grid(), "graph-vs-reference");
+        // The per-block clamp counts exactly what the reference's sweep does.
+        EXPECT_EQ(sim.params().clamped_cells, ref.params().clamped_cells);
+        if (arm == Arm::kGuardFires) {
+          EXPECT_GT(sim.params().clamped_cells, 0);
+        }
       }
     }
   }
