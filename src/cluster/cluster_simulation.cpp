@@ -127,8 +127,10 @@ ClusterSimulation::ClusterSimulation(int gbx, int gby, int gbz, int bs,
     topo.coords(r, cx, cy, cz);
 
     // Rank-local BCs: global BCs survive only on faces that lie on the
-    // global boundary (used by the wall diagnostics); interior faces are
-    // fully served by halo data, never by local folding.
+    // global boundary; interior faces are absorbing. The lab reads the ghosts
+    // beyond every face with a neighbour from that face's halo slab, so the
+    // rank BC serves only faces without one (and the edge and corner ghosts
+    // no axis-aligned sweep reads).
     Simulation::Params rp = params;
     rp.extent = rank_extent;
     const int coords[3] = {cx, cy, cz};
@@ -138,10 +140,7 @@ ClusterSimulation::ClusterSimulation(int gbx, int gby, int gbz, int bs,
       if (coords[a] != extents[a] - 1) rp.bc.face[a][1] = BCType::kAbsorbing;
     }
     sims_[r] = std::make_unique<Simulation>(lbx, lby, lbz, bs, rp);
-    sims_[r]->set_ghost_override([this, r](int lx, int ly, int lz, Cell& c) {
-      const RankBox& box = boxes_[r];
-      return fetch_remote(r, lx + box.ox, ly + box.oy, lz + box.oz, c);
-    });
+    sims_[r]->set_halo(&halo_slabs_[r]);
 
     // Halo/interior split of the local blocks.
     const bool periodic[3] = {global_bc_.face[0][0] == BCType::kPeriodic,
@@ -177,85 +176,6 @@ const Simulation& ClusterSimulation::rank_sim(int r) const {
           "ClusterSimulation::rank_sim: rank " + std::to_string(r) +
               " is not local to this process");
   return *sims_[r];
-}
-
-bool ClusterSimulation::fetch_remote(int rank, int gx, int gy, int gz, Cell& out) const {
-  const RankBox& box = boxes_[rank];
-  const int gext[3] = {gbx_ * bs_, gby_ * bs_, gbz_ * bs_};
-  int c[3] = {gx, gy, gz};
-  Real sign[3] = {1, 1, 1};
-
-  // Fold absorbing/wall axes through the *global* boundary (the folded cell
-  // always lands within 3 layers of that boundary, i.e. inside the
-  // requesting rank for that axis). Periodic axes stay unfolded: the wrap is
-  // realized by the halo slabs filled from the periodic neighbour.
-  for (int a = 0; a < 3; ++a) {
-    if (c[a] >= 0 && c[a] < gext[a]) continue;
-    if (global_bc_.face[a][0] == BCType::kPeriodic) continue;
-    const FoldedIndex f = fold_index(c[a], gext[a], global_bc_, a);
-    c[a] = f.i;
-    sign[a] = f.mom_sign;
-  }
-
-  // Per-axis deviation from the rank box.
-  const int lo[3] = {box.ox, box.oy, box.oz};
-  const int n[3] = {box.nx, box.ny, box.nz};
-  int dev_axis = -1, dev_side = -1;
-  int ndev = 0;
-  for (int a = 0; a < 3; ++a) {
-    if (c[a] < lo[a]) {
-      ++ndev;
-      dev_axis = a;
-      dev_side = 0;
-    } else if (c[a] >= lo[a] + n[a]) {
-      ++ndev;
-      dev_axis = a;
-      dev_side = 1;
-    }
-  }
-
-  const Grid& g = sims_[rank]->grid();
-  const bool folded = sign[0] < 0 || sign[1] < 0 || sign[2] < 0 || c[0] != gx ||
-                      c[1] != gy || c[2] != gz;
-
-  if (ndev == 0) {
-    if (!folded) return false;  // plain intra-rank ghost: local path handles it
-    out = g.cell(c[0] - lo[0], c[1] - lo[1], c[2] - lo[2]);
-    out.ru *= sign[0];
-    out.rv *= sign[1];
-    out.rw *= sign[2];
-    return true;
-  }
-
-  if (ndev == 1) {
-    const auto& slab = halo_slabs_[rank][dev_axis * 2 + dev_side];
-    if (!slab.empty()) {
-      // Slab-local coordinates: the deviating axis indexes the 3 layers.
-      int sc[3] = {c[0] - lo[0], c[1] - lo[1], c[2] - lo[2]};
-      sc[dev_axis] = dev_side == 0 ? c[dev_axis] - (lo[dev_axis] - kGhosts)
-                                   : c[dev_axis] - (lo[dev_axis] + n[dev_axis]);
-      int dims[3] = {n[0], n[1], n[2]};
-      dims[dev_axis] = kGhosts;
-      const std::size_t idx =
-          sc[0] + static_cast<std::size_t>(dims[0]) * (sc[1] + static_cast<std::size_t>(dims[1]) * sc[2]);
-      out = slab[idx];
-      out.ru *= sign[0];
-      out.rv *= sign[1];
-      out.rw *= sign[2];
-      return true;
-    }
-  }
-
-  // Edge/corner ghosts (never read by the axis-aligned WENO sweeps) and
-  // pre-exchange fetches: clamp into the rank box for a physically valid
-  // placeholder.
-  int cc[3];
-  for (int a = 0; a < 3; ++a) cc[a] = std::clamp(c[a], lo[a], lo[a] + n[a] - 1);
-  out = g.cell(cc[0] - lo[0], cc[1] - lo[1], cc[2] - lo[2]);
-  out.ru *= sign[0];
-  out.rv *= sign[1];
-  out.rw *= sign[2];
-  return true;
 }
 
 void ClusterSimulation::pack_rank_sends(int r) {

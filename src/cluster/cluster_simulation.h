@@ -1,13 +1,15 @@
 // Cluster-layer simulation (paper Section 6): the global domain is split
 // into cartesian subdomains, one per rank. Each rank runs a node-layer
 // Simulation on its subgrid; ghost information crosses rank boundaries as
-// six face-slab messages of three cell layers per Runge-Kutta stage. Blocks
-// are split into halo and interior sets, and each RK stage runs the paper's
-// overlap pipeline as one dependency graph (core/step_scheduler) across all
-// local ranks: pack tasks post the halo sends, interior blocks compute while
-// messages are "in flight", a drain task receives the halos and releases
-// the halo blocks. Every phase emits tracing spans (perf::Tracer) for
-// per-rank aggregates and chrome://tracing export.
+// six face-slab messages of three cell layers per Runge-Kutta stage, which
+// land in the rank's HaloSlabs and reach its labs through the same fold
+// tables as every other ghost (BlockLab::load). Blocks are split into halo
+// and interior sets, and each RK stage runs the paper's overlap pipeline as
+// one dependency graph (core/step_scheduler) across all local ranks: pack
+// tasks post the halo sends, interior blocks compute while messages are "in
+// flight", a drain task receives the halos and releases the halo blocks.
+// Every phase emits tracing spans (perf::Tracer) for per-rank aggregates and
+// chrome://tracing export.
 //
 // Rank locality: the simulation drives exactly the ranks its transport
 // declares local (Transport::local_ranks). On the default in-memory
@@ -18,7 +20,6 @@
 // touches a sibling rank's grid directly.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -167,10 +168,9 @@ class ClusterSimulation {
   /// times (each call is one epoch).
   void exchange_halos();
 
-  /// The ghost resolution path of a LOCAL `rank` for a global cell
-  /// coordinate (exposed for tests): returns false when the cell is
-  /// local-unfolded.
-  [[nodiscard]] bool fetch_remote(int rank, int gx, int gy, int gz, Cell& out) const;
+  /// The face slabs a LOCAL rank `r` last received (exposed for tests); its
+  /// Simulation's lab assembly reads them (Simulation::set_halo).
+  [[nodiscard]] const HaloSlabs& halo_slabs(int r) const { return halo_slabs_[r]; }
 
  private:
   struct RankBox {
@@ -208,8 +208,9 @@ class ClusterSimulation {
   std::vector<std::unique_ptr<Simulation>> sims_;  ///< null for remote ranks
   std::vector<RankBox> boxes_;
   std::vector<std::vector<int>> interior_, halo_;  ///< filled for local ranks
-  // halo_slabs_[rank][axis*2+side]: 3-layer cell slab outside the rank box.
-  std::vector<std::array<std::vector<Cell>, 6>> halo_slabs_;
+  /// Per rank, the kGhosts-layer cell slabs beyond its six faces, written by
+  /// unpack_halo_slab and read by that rank's lab assembly.
+  std::vector<HaloSlabs> halo_slabs_;
   perf::Tracer tracer_;
   std::unique_ptr<StepScheduler> stage_sched_;  ///< cluster stage graph
   std::vector<int> plan_ranks_;                 ///< scheduler plan -> rank id

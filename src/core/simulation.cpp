@@ -67,10 +67,9 @@ void Simulation::assemble_lab(int block_id, int tid) {
   BlockLab& lab = labs_[tid];
   int bx, by, bz;
   grid_.indexer().coords(block_id, bx, by, bz);
-  // Bulk assembly: intra-rank ghosts fold through the BCs region-by-region;
-  // the cluster layer's override intercepts only out-of-domain coordinates.
-  lab.load(grid_, bx, by, bz, params_.bc,
-           ghost_override_ ? &ghost_override_ : nullptr);
+  // Bulk assembly: ghosts fold through the BCs per axis entry; on a cluster
+  // rank the fold tables route the ghosts beyond a neighbour to its slab.
+  lab.load(grid_, bx, by, bz, params_.bc, halo_);
 #if MPCF_CHECKED
   // The step graph's counters are seeded from BlockTopology::readset;
   // cross-validate that the lab's fold tables never referenced a block the
@@ -121,7 +120,7 @@ void Simulation::ensure_step_graph() {
 }
 
 void Simulation::advance(double dt) {
-  require(!ghost_override_,
+  require(halo_ == nullptr,
           "Simulation::advance: a cluster rank is stepped by its ClusterSimulation");
   ensure_thread_workspaces();
   ensure_step_graph();

@@ -6,7 +6,6 @@
 // (Williamson, ref [80]) at CFL 0.3.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -77,18 +76,18 @@ class Simulation {
   /// Advances one step of the given size: the three RK stages run as one
   /// dependency-scheduled block graph (DESIGN.md §14); each block's
   /// final-stage update also applies the positivity guard and folds the next
-  /// step's SOS reduction. A cluster rank (ghost override set) is stepped by
-  /// its ClusterSimulation instead.
+  /// step's SOS reduction. A cluster rank (halo slabs set) is stepped by its
+  /// ClusterSimulation instead.
   void advance(double dt);
 
   /// compute_dt + advance; returns the dt taken.
   double step();
 
-  /// Optional ghost override used by the cluster layer: called for global
-  /// cell coordinates outside this rank's subdomain; returns true if it
-  /// filled `cell`. Coordinates may lie outside [0, cells) bounds.
-  using GhostOverride = std::function<bool(int, int, int, Cell&)>;
-  void set_ghost_override(GhostOverride f) { ghost_override_ = std::move(f); }
+  /// Points the lab assembly at a cluster rank's received face slabs
+  /// (non-owning; the ClusterSimulation keeps them alive and refills them
+  /// each stage). Ghosts beyond a face with a non-empty slab read it; all
+  /// others fold through params().bc.
+  void set_halo(const HaloSlabs* halo) noexcept { halo_ = halo; }
 
   /// Grows the per-thread lab/workspace arrays to omp_get_max_threads().
   /// Called by advance (serial context), so raising the OpenMP thread count
@@ -168,7 +167,7 @@ class Simulation {
   double time_ = 0;
   std::vector<BlockLab> labs_;              // one per thread
   std::vector<kernels::RhsWorkspace> ws_;   // one per thread
-  GhostOverride ghost_override_;
+  const HaloSlabs* halo_ = nullptr;  ///< cluster rank's face slabs, or null
   StepProfile profile_;
   std::unique_ptr<BlockTopology> step_topo_;  // lazily built
   std::unique_ptr<StepScheduler> sched_;      // node-layer step graph

@@ -7,15 +7,17 @@
 // Two assembly paths fill a lab:
 //  - load(..., Fetch&&): the per-cell reference path — every ghost cell goes
 //    through a fetch callback. Kept as the differential-testing oracle.
-//  - load(..., bc [, override]): bulk assembly — the interior transposes
+//  - load(..., bc [, halo]): bulk assembly — the interior transposes
 //    row-by-row straight out of the source block, and ghost cells resolve
 //    through per-axis fold tables computed once per load (BCs folded
-//    per-axis-entry, not per-cell). Only cells whose unfolded coordinates
-//    leave the grid's domain are routed through the optional override
-//    callback (the cluster layer's out-of-rank intercept).
+//    per-axis-entry, not per-cell). A cluster rank passes its received
+//    face slabs as `halo`: the fold tables then route the ghosts beyond a
+//    neighbour's face to that slab, so one module decides where every ghost
+//    cell comes from.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <concepts>
 #include <cstddef>
 #include <vector>
@@ -28,6 +30,14 @@
 #include "simd/vec8.h"  // MPCF_SIMD_AVX2 + intrinsics for the AoS->SoA transpose
 
 namespace mpcf {
+
+/// The six face slabs of ghost cells a cluster rank receives from its
+/// neighbours, indexed [axis*2+side]. Each slab is x-fastest over the grid's
+/// cell extents with kGhosts layers along its face axis; layer 0 is the
+/// farthest layer on the low side and the nearest on the high side. An empty
+/// slab (no neighbour, or nothing received yet) leaves its face to the
+/// local fold.
+using HaloSlabs = std::array<std::vector<Cell>, 6>;
 
 class BlockLab {
  public:
@@ -44,6 +54,8 @@ class BlockLab {
     per_q_ = per_q;
     // mpcf-lint: allow(kernel-alloc): one-time lab (re)allocation; load() reuses these tables per block
     for (auto& t : fold_) t.resize(n_);
+    // mpcf-lint: allow(kernel-alloc): one-time lab (re)allocation; load() reuses the columns per block
+    cols_.resize(2 * static_cast<std::size_t>(ghosts));
   }
 
   [[nodiscard]] int block_size() const noexcept { return bs_; }
@@ -105,16 +117,16 @@ class BlockLab {
 
   /// Bulk assembly: interior rows transpose straight from the source block;
   /// ghost cells resolve through per-axis fold tables (BCs folded once per
-  /// axis entry). `override_fn`, when non-null, intercepts cells whose
-  /// unfolded global coordinates fall outside the grid's domain (the cluster
-  /// layer's out-of-rank ghosts); when it declines (returns false) the cell
-  /// falls back to the locally folded value, matching the per-cell path.
-  template <typename Override>
+  /// axis entry). With `halo` (a cluster rank's received face slabs), a fold
+  /// entry whose unfolded coordinate leaves the grid on a side with a
+  /// non-empty slab is a halo entry; a lab cell with exactly one halo axis
+  /// reads that face's slab at the other axes' folded cells and signs, and
+  /// every other cell takes the local fold.
   void load(const Grid& grid, int bx, int by, int bz, const BoundaryConditions& bc,
-            const Override* override_fn) {
+            const HaloSlabs* halo = nullptr) {
     const Block& block = grid.block(bx, by, bz);
     const int origin[3] = {bx * bs_, by * bs_, bz * bs_};
-    build_fold_tables(grid, origin, bc);
+    build_fold_tables(grid, origin, bc, halo);
 
     // Interior: row-by-row AoS -> SoA transpose, no index folding at all.
     for (int iz = 0; iz < bs_; ++iz)
@@ -122,45 +134,38 @@ class BlockLab {
         copy_row_transposed(&block(0, iy, iz), offset(0, iy, iz), bs_, Real(1), Real(1));
 
     // X-edge ghosts of interior rows: the y/z folds are identity there, so
-    // the folded source block is constant over the whole face — sweep the
-    // rows once with all per-column constants hoisted.
+    // each column's source is constant over the whole face — sweep the rows
+    // once with all per-column constants hoisted.
     const int bs = bs_;
-    fill_x_edges(grid, origin, by, bz, override_fn);
+    fill_x_edges(grid, by, bz, halo);
 
     // Remaining ghost shell: rows whose y/z coordinate is itself a ghost.
     // Their x-interior span [0, bs) never folds along x, so it is one
-    // contiguous cell run of a single source block and goes through the same
-    // transposed copy as interior rows (with the row's y/z momentum signs
-    // applied); only when an override could intercept the row does it stay
-    // per-cell.
+    // contiguous cell run of a single source block (or, with exactly one
+    // halo axis among y/z, of that face's slab) and goes through the same
+    // transposed copy as interior rows with the row's y/z momentum signs.
     for (int iz = -g_; iz < bs + g_; ++iz)
       for (int iy = -g_; iy < bs + g_; ++iy) {
         if (iy >= 0 && iy < bs && iz >= 0 && iz < bs) continue;  // handled above
-        fill_ghost_span(grid, origin, -g_, 0, iy, iz, override_fn);
+        fill_ghost_span(grid, -g_, 0, iy, iz, halo);
         const Fold& fy = fold_[1][iy + g_];
         const Fold& fz = fold_[2][iz + g_];
-        if (override_fn == nullptr || !(fy.outside || fz.outside)) {
-          const Cell* src = &grid.block(bx, fy.block, fz.block)(0, fy.cell, fz.cell);
-          copy_row_transposed(src, offset(0, iy, iz), bs, fy.sign, fz.sign);
-        } else {
-          fill_ghost_span(grid, origin, 0, bs, iy, iz, override_fn);
-        }
-        fill_ghost_span(grid, origin, bs, bs + g_, iy, iz, override_fn);
+        const Cell* src;
+        if ((fy.face >= 0) != (fz.face >= 0))
+          src = slab_cell(*halo, std::max(fy.face, fz.face), origin[0], fy.sc, fz.sc);
+        else
+          src = &grid.block(bx, fy.block, fz.block)(0, fy.cell, fz.cell);
+        copy_row_transposed(src, offset(0, iy, iz), bs, fy.sign, fz.sign);
+        fill_ghost_span(grid, bs, bs + g_, iy, iz, halo);
       }
-  }
-
-  /// Node-layer bulk load: ghosts resolved from neighbouring blocks of the
-  /// same grid, folded through the domain boundary conditions.
-  void load(const Grid& grid, int bx, int by, int bz, const BoundaryConditions& bc) {
-    load(grid, bx, by, bz, bc, static_cast<const NoOverride*>(nullptr));
   }
 
   /// Consumption hook for the step scheduler: the set of source blocks
   /// the last bulk load() may have read, linearized through `idx` and
   /// appended to `out` sorted ascending (out is cleared first). Computed as
   /// the product of the per-axis fold tables, so it is a conservative
-  /// superset of the actual reads (an override interception still counts its
-  /// locally folded block). Valid only after a bulk load; the per-cell
+  /// superset of the actual reads (a halo read still counts its locally
+  /// folded block). Valid only after a bulk load; the per-cell
   /// oracle path does not build fold tables. The scheduler cross-validates
   /// this against BlockTopology::readset under MPCF_CHECKED.
   void read_block_set(const BlockIndexer& idx, std::vector<int>& out) const {
@@ -186,31 +191,51 @@ class BlockLab {
   }
 
  private:
-  /// Placeholder override type for the no-override bulk load.
-  struct NoOverride {
-    bool operator()(int, int, int, Cell&) const noexcept { return false; }
-  };
-
   /// Fold table entry for one lab coordinate along one axis.
   struct Fold {
-    int block;      ///< source block index along the axis
-    int cell;       ///< source cell index within that block
-    Real sign;      ///< momentum sign of the axis component
-    bool outside;   ///< unfolded coordinate lies outside the grid's domain
+    int block;  ///< locally folded source block index along the axis
+    int cell;   ///< locally folded source cell index within that block
+    Real sign;  ///< momentum sign of the axis component
+    int face;   ///< halo face (axis*2+side) beyond the grid, or -1
+    int sc;     ///< slab coordinate: the layer for a halo entry, else the folded grid cell
   };
 
+  /// Halo entries only arise on faces with a neighbour, whose rank BC is
+  /// absorbing or periodic, so their local sign is 1 as well: a slab read
+  /// uses the three entries' signs unchanged.
   void build_fold_tables(const Grid& grid, const int origin[3],
-                         const BoundaryConditions& bc) {
-    const int ncells[3] = {grid.cells_x(), grid.cells_y(), grid.cells_z()};
+                         const BoundaryConditions& bc, const HaloSlabs* halo) {
+    ncells_[0] = grid.cells_x();
+    ncells_[1] = grid.cells_y();
+    ncells_[2] = grid.cells_z();
     for (int a = 0; a < 3; ++a) {
       std::vector<Fold>& t = fold_[a];
       for (int i = -g_; i < bs_ + g_; ++i) {
         const int gcoord = origin[a] + i;
-        const FoldedIndex f = fold_index(gcoord, ncells[a], bc, a);
-        t[i + g_] = Fold{f.i / bs_, f.i % bs_, f.mom_sign,
-                         gcoord < 0 || gcoord >= ncells[a]};
+        const FoldedIndex f = fold_index(gcoord, ncells_[a], bc, a);
+        Fold e{f.i / bs_, f.i % bs_, f.mom_sign, -1, f.i};
+        const bool lo = gcoord < 0, hi = gcoord >= ncells_[a];
+        if (halo != nullptr && (lo || hi) && !(*halo)[a * 2 + hi].empty()) {
+          MPCF_CHECK(g_ <= kGhosts && (*halo)[a * 2 + hi].size() ==
+                                          static_cast<std::size_t>(kGhosts) * ncells_[0] *
+                                              ncells_[1] * ncells_[2] / ncells_[a],
+                     "BlockLab: halo slab " + std::to_string(a * 2 + hi) +
+                         " does not match the grid");
+          e.face = a * 2 + hi;
+          e.sc = lo ? gcoord + kGhosts : gcoord - ncells_[a];
+        }
+        t[i + g_] = e;
       }
     }
+  }
+
+  /// The cell of halo face `face` at slab coordinates (sx, sy, sz).
+  [[nodiscard]] const Cell* slab_cell(const HaloSlabs& halo, int face, int sx, int sy,
+                                      int sz) const noexcept {
+    const int axis = face / 2;
+    const std::size_t nx = axis == 0 ? kGhosts : ncells_[0];
+    const std::size_t ny = axis == 1 ? kGhosts : ncells_[1];
+    return halo[face].data() + (sx + nx * (sy + ny * sz));
   }
 
 #if MPCF_SIMD_AVX2
@@ -285,51 +310,50 @@ class BlockLab {
     }
   }
 
+  /// One x-ghost column of fill_x_edges: its source cell for lab row (0, 0)
+  /// and the source strides per lab row and plane.
+  struct Col {
+    const Cell* src;
+    std::size_t ys, zs;
+    std::size_t doff;  ///< lab-row-relative destination offset
+    Real sign;         ///< x-momentum sign
+  };
+
   /// Fills the 2*g x-ghost columns of every interior row in one sweep. The
-  /// y/z folds are identity on those rows, so each column's source block,
-  /// source x-cell, and momentum sign are constant over the whole face and
-  /// resolve once; the row loop then copies 2*g cells per row while the
-  /// destination cache lines are hot. Columns whose unfolded coordinate
-  /// leaves the domain are offered to the override first (cluster intercept).
-  template <typename Override>
-  void fill_x_edges(const Grid& grid, const int origin[3], int by, int bz,
-                    const Override* override_fn) {
-    struct Col {
-      const Cell* cells;    ///< source block data (same by/bz as the lab's block)
-      int cell;             ///< folded source x-cell
-      int gx;               ///< unfolded global x (override coordinate)
-      std::size_t doff;     ///< lab-row-relative destination offset
-      Real sign;            ///< x-momentum sign
-      bool routed;          ///< offer to the override first
-    };
+  /// y/z folds are identity on those rows, so each column's source (a block
+  /// of the grid, or the x-face slab for a halo column), source x-cell, and
+  /// momentum sign are constant over the whole face and resolve once; the
+  /// row loop then copies 2*g cells per row while the destination cache
+  /// lines are hot.
+  void fill_x_edges(const Grid& grid, int by, int bz, const HaloSlabs* halo) {
     const int ncols = 2 * g_;
-    std::vector<Col> cols(ncols);
+    const std::size_t bs = static_cast<std::size_t>(bs_);
     for (int j = 0; j < ncols; ++j) {
       const int ix = j < g_ ? j - g_ : bs_ + j - g_;
       const Fold& fx = fold_[0][ix + g_];
-      cols[j] = Col{grid.block(fx.block, by, bz).data(), fx.cell, origin[0] + ix,
-                    static_cast<std::size_t>(j < g_ ? j : bs_ + j), fx.sign,
-                    override_fn != nullptr && fx.outside};
+      Col& cl = cols_[j];
+      cl.doff = static_cast<std::size_t>(j < g_ ? j : bs_ + j);
+      cl.sign = fx.sign;
+      if (fx.face >= 0) {
+        cl.src = slab_cell(*halo, fx.face, fx.sc, fold_[1][g_].sc, fold_[2][g_].sc);
+        cl.ys = kGhosts;
+        cl.zs = kGhosts * static_cast<std::size_t>(ncells_[1]);
+      } else {
+        cl.src = grid.block(fx.block, by, bz).data() + fx.cell;
+        cl.ys = bs;
+        cl.zs = bs * bs;
+      }
     }
 
     Real* const base = storage_.data();
-    const std::size_t bs = static_cast<std::size_t>(bs_);
     for (int iz = 0; iz < bs_; ++iz) {
       std::size_t o_row = offset(-g_, 0, iz);
-      std::size_t s_row = bs * bs * iz;
-      for (int iy = 0; iy < bs_; ++iy, o_row += n_, s_row += bs) {
+      for (int iy = 0; iy < bs_; ++iy, o_row += n_) {
         for (int j = 0; j < ncols; ++j) {
-          const Col& cl = cols[j];
-          const std::size_t o = o_row + cl.doff;
-          if (cl.routed) {
-            Cell c;
-            if ((*override_fn)(cl.gx, origin[1] + iy, origin[2] + iz, c)) {
-              for (int k = 0; k < kNumQuantities; ++k) base[k * per_q_ + o] = c.q(k);
-              continue;
-            }
-          }
-          Cell c = cl.cells[s_row + cl.cell];
+          const Col& cl = cols_[j];
+          Cell c = cl.src[iy * cl.ys + iz * cl.zs];
           c.ru *= cl.sign;
+          const std::size_t o = o_row + cl.doff;
           for (int k = 0; k < kNumQuantities; ++k) base[k * per_q_ + o] = c.q(k);
         }
       }
@@ -337,13 +361,14 @@ class BlockLab {
   }
 
   /// Fills lab cells [x0, x1) of row (iy, iz); every cell in the span is a
-  /// ghost. Hoists the source-block lookup across runs of constant x-block.
-  template <typename Override>
-  void fill_ghost_span(const Grid& grid, const int origin[3], int x0, int x1,
-                       int iy, int iz, const Override* override_fn) {
+  /// ghost. A cell with exactly one halo axis reads that face's slab; the
+  /// others hoist the source-block lookup across runs of constant x-block.
+  void fill_ghost_span(const Grid& grid, int x0, int x1, int iy, int iz,
+                       const HaloSlabs* halo) {
     const Fold& fy = fold_[1][iy + g_];
     const Fold& fz = fold_[2][iz + g_];
-    const bool row_outside = fy.outside || fz.outside;
+    const int row_halos = (fy.face >= 0) + (fz.face >= 0);
+    const int row_face = std::max(fy.face, fz.face);
     const std::size_t in_block_yz =
         static_cast<std::size_t>(bs_) * (fy.cell + static_cast<std::size_t>(bs_) * fz.cell);
     Real* const base = storage_.data();
@@ -354,18 +379,17 @@ class BlockLab {
     std::size_t o = offset(x0, iy, iz);
     for (int ix = x0; ix < x1; ++ix, ++o) {
       const Fold& fx = fxs[ix];
-      if (override_fn != nullptr && (row_outside || fx.outside)) {
-        Cell c;
-        if ((*override_fn)(origin[0] + ix, origin[1] + iy, origin[2] + iz, c)) {
-          for (int k = 0; k < kNumQuantities; ++k) base[k * per_q_ + o] = c.q(k);
-          continue;
+      const Cell* src;
+      if (row_halos + (fx.face >= 0) == 1) {
+        src = slab_cell(*halo, std::max(fx.face, row_face), fx.sc, fy.sc, fz.sc);
+      } else {
+        if (fx.block != cached_bx) {
+          cached_bx = fx.block;
+          block_cells = grid.block(fx.block, fy.block, fz.block).data();
         }
+        src = block_cells + fx.cell + in_block_yz;
       }
-      if (fx.block != cached_bx) {
-        cached_bx = fx.block;
-        block_cells = grid.block(fx.block, fy.block, fz.block).data();
-      }
-      Cell c = block_cells[fx.cell + in_block_yz];
+      Cell c = *src;
       c.ru *= fx.sign;
       c.rv *= fy.sign;
       c.rw *= fz.sign;
@@ -374,9 +398,11 @@ class BlockLab {
   }
 
   int bs_ = 0, g_ = 0, n_ = 0;
+  int ncells_[3] = {};  ///< cell extents of the grid of the last bulk load
   std::size_t per_q_ = 0;
   AlignedBuffer<Real> storage_;
   std::vector<Fold> fold_[3];  ///< per-axis fold tables, rebuilt per load
+  std::vector<Col> cols_;      ///< fill_x_edges columns, rebuilt per load
 };
 
 }  // namespace mpcf

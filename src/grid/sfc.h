@@ -65,8 +65,8 @@ class BlockIndexer {
 /// The readset is derived from the same per-axis index folding BlockLab's
 /// bulk assembly uses (fold_index over the ghost-extended coordinate range),
 /// as the product of the three per-axis folded source-block sets — an exact
-/// superset of every grid read the assembly performs, including the cluster
-/// override's clamp path (clamping equals the absorbing fold). Both
+/// superset of every grid read the assembly performs (a cluster rank's halo
+/// ghosts read a slab, not the grid, so they add no reads). Both
 /// relations always contain b itself; neither is assumed symmetric (BC
 /// folding breaks symmetry at domain faces), so the transpose is explicit.
 struct BlockTopology {

@@ -1,20 +1,22 @@
-// Focused unit tests of the cluster layer's ghost-resolution path
-// (fetch_remote) and the halo exchange message discipline.
+// Focused unit tests of the cluster layer's ghost path — a rank's labs read
+// the received face slabs through BlockLab's fold tables — and of the halo
+// exchange message discipline.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "cluster/cluster_simulation.h"
+#include "grid/lab.h"
 
 namespace mpcf::cluster {
 namespace {
 
 /// Deterministically tagged global field on a 32^3 grid split 2x1x1.
 /// Heap-allocated: ClusterSimulation is pinned by its comm mutexes.
-std::unique_ptr<ClusterSimulation> make_tagged(BCType bctype) {
+std::unique_ptr<ClusterSimulation> make_tagged(const BoundaryConditions& bc) {
   Simulation::Params p;
   p.extent = 1.0;
-  p.bc = BoundaryConditions::all(bctype);
+  p.bc = bc;
   auto cs = std::make_unique<ClusterSimulation>(4, 4, 4, 8, CartTopology(2, 1, 1), p);
   for (int r = 0; r < 2; ++r) {
     Grid& g = cs->rank_sim(r).grid();
@@ -38,89 +40,128 @@ std::unique_ptr<ClusterSimulation> make_tagged(BCType bctype) {
   return cs;
 }
 
-TEST(FetchRemote, InRankCoordsAreDeclined) {
+std::unique_ptr<ClusterSimulation> make_tagged(BCType bctype) {
+  return make_tagged(BoundaryConditions::all(bctype));
+}
+
+/// Block (bx,by,bz) of rank `r`, assembled as the rank's step assembles it:
+/// the rank's grid and BCs plus the slabs it last received.
+BlockLab rank_lab(const ClusterSimulation& cs, int r, int bx, int by, int bz) {
+  const Simulation& sim = cs.rank_sim(r);
+  BlockLab lab;
+  lab.resize(sim.grid().block_size());
+  lab.load(sim.grid(), bx, by, bz, sim.params().bc, &cs.halo_slabs(r));
+  return lab;
+}
+
+/// Every lab cell of every block of rank `r` with at least `min_out` axes
+/// outside the rank's grid equals the rank-local fold of that cell.
+void expect_local_fold(const ClusterSimulation& cs, int r, int min_out) {
+  const Simulation& sim = cs.rank_sim(r);
+  const Grid& g = sim.grid();
+  const int bs = g.block_size(), ng = kGhosts;
+  const int n[3] = {g.cells_x(), g.cells_y(), g.cells_z()};
+  long checked = 0;
+  for (int bz = 0; bz < g.blocks_z(); ++bz)
+    for (int by = 0; by < g.blocks_y(); ++by)
+      for (int bx = 0; bx < g.blocks_x(); ++bx) {
+        const BlockLab lab = rank_lab(cs, r, bx, by, bz);
+        for (int iz = -ng; iz < bs + ng; ++iz)
+          for (int iy = -ng; iy < bs + ng; ++iy)
+            for (int ix = -ng; ix < bs + ng; ++ix) {
+              const int c[3] = {bx * bs + ix, by * bs + iy, bz * bs + iz};
+              int out = 0;
+              for (int a = 0; a < 3; ++a) out += c[a] < 0 || c[a] >= n[a];
+              if (out < min_out) continue;
+              const Cell want = g.cell_folded(c[0], c[1], c[2], sim.params().bc);
+              for (int q = 0; q < kNumQuantities; ++q)
+                ASSERT_EQ(lab(q, ix, iy, iz), want.q(q))
+                    << "rank " << r << " block (" << bx << "," << by << "," << bz
+                    << ") cell (" << ix << "," << iy << "," << iz << ") q=" << q;
+              ++checked;
+            }
+      }
+  EXPECT_GT(checked, 0);
+}
+
+TEST(HaloLab, FaceGhostsComeFromNeighborRankAfterExchange) {
   auto cs = make_tagged(BCType::kAbsorbing);
-  Cell out;
-  // Rank 0 box is x in [0,16): any in-box coordinate goes the local path.
-  EXPECT_FALSE(cs->fetch_remote(0, 5, 5, 5, out));
-  EXPECT_FALSE(cs->fetch_remote(0, 15, 31, 31, out));
-  // Rank 1 box is x in [16,32).
-  EXPECT_FALSE(cs->fetch_remote(1, 16, 0, 0, out));
-}
-
-TEST(FetchRemote, FaceGhostComesFromNeighborRankAfterExchange) {
-  auto cs = make_tagged(BCType::kAbsorbing);
   cs->exchange_halos();
-  Cell out;
-  // Rank 0 asking for x=16..18: rank 1's first layers.
-  for (int l = 0; l < 3; ++l) {
-    ASSERT_TRUE(cs->fetch_remote(0, 16 + l, 7, 9, out));
-    EXPECT_EQ(out.rho, 1000 + 16 + l);
-    EXPECT_EQ(out.ru, 7);
-    EXPECT_EQ(out.rv, 9);
+  // Rank 0 (x in [0,16)), block x 1: lab x = 8..10 are global x = 16..18,
+  // rank 1's first layers.
+  const BlockLab lab0 = rank_lab(*cs, 0, 1, 0, 1);
+  for (int l = 0; l < kGhosts; ++l) {
+    EXPECT_EQ(lab0(Q_RHO, 8 + l, 7, 1), 1000 + 16 + l);
+    EXPECT_EQ(lab0(Q_RU, 8 + l, 7, 1), 7);
+    EXPECT_EQ(lab0(Q_RV, 8 + l, 7, 1), 9);
   }
-  // Rank 1 asking for x=13..15: rank 0's last layers.
-  for (int l = 0; l < 3; ++l) {
-    ASSERT_TRUE(cs->fetch_remote(1, 13 + l, 2, 4, out));
-    EXPECT_EQ(out.rho, 1000 + 13 + l);
+  // Rank 1 (x in [16,32)), block x 0: lab x = -1..-3 are global x = 15..13,
+  // rank 0's last layers.
+  const BlockLab lab1 = rank_lab(*cs, 1, 0, 0, 0);
+  for (int l = 0; l < kGhosts; ++l) {
+    EXPECT_EQ(lab1(Q_RHO, -1 - l, 2, 4), 1000 + 15 - l);
+    EXPECT_EQ(lab1(Q_RU, -1 - l, 2, 4), 2);
+    EXPECT_EQ(lab1(Q_RV, -1 - l, 2, 4), 4);
   }
 }
 
-TEST(FetchRemote, GlobalWallFoldFlipsNormalMomentum) {
-  Simulation::Params p;
-  p.extent = 1.0;
-  p.bc = BoundaryConditions::all(BCType::kAbsorbing);
-  p.bc.face[1] = {BCType::kWall, BCType::kWall};
-  auto cs = std::make_unique<ClusterSimulation>(4, 4, 4, 8, CartTopology(2, 1, 1), p);
-  Grid& g = cs->rank_sim(0).grid();
-  Cell c;
-  c.rho = 7;
-  c.ru = 1;
-  c.rv = 2;
-  c.rw = 3;
-  g.cell(4, 0, 6) = c;
-  Cell out;
-  // y = -1 mirrors to y = 0 with rv flipped.
-  ASSERT_TRUE(cs->fetch_remote(0, 4, -1, 6, out));
-  EXPECT_EQ(out.rho, 7);
-  EXPECT_EQ(out.ru, 1);
-  EXPECT_EQ(out.rv, -2);
-  EXPECT_EQ(out.rw, 3);
+TEST(HaloLab, YWallGhostOnHaloXRowFlipsRv) {
+  BoundaryConditions bc = BoundaryConditions::all(BCType::kAbsorbing);
+  bc.face[1] = {BCType::kWall, BCType::kWall};
+  auto cs = make_tagged(bc);
+  cs->exchange_halos();
+  // Rank 0, block (1,0,0): lab (8+l, -2, 5) is global (16+l, -2, 5) — x in
+  // rank 1's slab, y mirrored about the wall to y = 1 with rv flipped.
+  const BlockLab lab = rank_lab(*cs, 0, 1, 0, 0);
+  for (int l = 0; l < kGhosts; ++l) {
+    EXPECT_EQ(lab(Q_RHO, 8 + l, -2, 5), 1000 + 16 + l);
+    EXPECT_EQ(lab(Q_RU, 8 + l, -2, 5), 1);
+    EXPECT_EQ(lab(Q_RV, 8 + l, -2, 5), -5);
+    EXPECT_EQ(lab(Q_RW, 8 + l, -2, 5), 16 + l + 1 + 5);
+  }
 }
 
-TEST(FetchRemote, PeriodicSelfAxisUsesOwnOppositeSide) {
+TEST(HaloLab, PeriodicSelfAxisReadsOwnOppositeLayers) {
   auto cs = make_tagged(BCType::kPeriodic);
   cs->exchange_halos();
-  Cell out;
-  // y = -2 wraps to y = 30 (ry == 1: the rank's own high-y layers travel
-  // through the self-send slab).
-  ASSERT_TRUE(cs->fetch_remote(0, 5, -2, 8, out));
-  EXPECT_EQ(out.ru, 30);  // tagged with iy
-  // z = 33 wraps to z = 1.
-  ASSERT_TRUE(cs->fetch_remote(0, 5, 8, 33, out));
-  EXPECT_EQ(out.rv, 1);  // tagged with iz
+  // ry == 1: the rank's own high-y layers travel through the self-send slab.
+  ASSERT_FALSE(cs->halo_slabs(0)[2].empty());
+  // A write after the exchange must not show: the lab reads the slab, not
+  // the rank's own cells.
+  cs->rank_sim(0).grid().cell(5, 30, 8).ru = -77;
+  // Block (0,0,1): lab (5, -2, 0) is global (5, -2, 8), which wraps to y = 30.
+  const BlockLab lab = rank_lab(*cs, 0, 0, 0, 1);
+  EXPECT_EQ(lab(Q_RU, 5, -2, 0), 30);
+  // Block (0,1,3): lab (5, 0, 9) is global (5, 8, 33), which wraps to z = 1.
+  const BlockLab lab_z = rank_lab(*cs, 0, 0, 1, 3);
+  EXPECT_EQ(lab_z(Q_RV, 5, 0, 9), 1);
 }
 
-TEST(FetchRemote, PeriodicSplitAxisUsesNeighborSlab) {
+TEST(HaloLab, PeriodicSplitAxisReadsNeighborSlab) {
   auto cs = make_tagged(BCType::kPeriodic);
   cs->exchange_halos();
-  Cell out;
-  // Rank 0, x = -1 wraps to x = 31 (rank 1's last layer).
-  ASSERT_TRUE(cs->fetch_remote(0, -1, 4, 4, out));
-  EXPECT_EQ(out.rho, 1000 + 31);
-  // Rank 1, x = 32 wraps to x = 0 (rank 0's first layer).
-  ASSERT_TRUE(cs->fetch_remote(1, 32, 4, 4, out));
-  EXPECT_EQ(out.rho, 1000 + 0);
+  // Rank 0, lab x = -1 of block x 0 is global x = -1, which wraps to x = 31
+  // (rank 1's last layer).
+  EXPECT_EQ(rank_lab(*cs, 0, 0, 0, 0)(Q_RHO, -1, 4, 4), 1000 + 31);
+  // Rank 1, lab x = 8 of block x 1 is global x = 32, which wraps to x = 0
+  // (rank 0's first layer).
+  EXPECT_EQ(rank_lab(*cs, 1, 1, 0, 0)(Q_RHO, 8, 4, 4), 1000 + 0);
 }
 
-TEST(FetchRemote, CornerFallbackIsFiniteAndHandled) {
+TEST(HaloLab, EdgeAndCornerGhostsTakeTheLocalFold) {
+  // Periodic: every face has a slab, so a cell with two or three axes
+  // beyond the rank's grid has as many halo axes and reads no slab.
   auto cs = make_tagged(BCType::kPeriodic);
   cs->exchange_halos();
-  Cell out;
-  // Two deviating axes (x remote + y out): clamp fallback — never read by
-  // the axis-aligned sweeps, but must be handled and physically valid.
-  ASSERT_TRUE(cs->fetch_remote(0, 17, -1, 5, out));
-  EXPECT_GT(out.rho, 0.0f);
+  for (int r = 0; r < 2; ++r) expect_local_fold(*cs, r, 2);
+}
+
+TEST(HaloLab, BeforeTheFirstExchangeEveryGhostTakesTheLocalFold) {
+  auto cs = make_tagged(BCType::kPeriodic);
+  for (int r = 0; r < 2; ++r) {
+    for (const auto& slab : cs->halo_slabs(r)) EXPECT_TRUE(slab.empty());
+    expect_local_fold(*cs, r, 1);
+  }
 }
 
 TEST(ExchangeHalos, MessageCountPerExchange) {

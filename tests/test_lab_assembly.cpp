@@ -2,12 +2,12 @@
 // oracle: for every boundary-condition fold (absorbing clamp, wall mirror
 // with momentum sign flip, periodic wrap, and mixed per-face settings) and
 // for every block position (faces, edges, corners), the bulk load must
-// reproduce the per-cell path bitwise. The cluster intercept is exercised
-// both with a synthetic override and with the real fetch_remote path.
+// reproduce the per-cell path bitwise. A cluster rank's labs, which read the
+// received halo slabs, are checked against the lab of the same block of the
+// gathered global grid.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <functional>
 #include <memory>
 
 #include "cluster/cluster_simulation.h"
@@ -99,105 +99,79 @@ TEST(LabAssembly, SingleBlockGridFoldsOntoItself) {
   check_all_blocks(g, BoundaryConditions::all(BCType::kWall));
 }
 
-TEST(LabAssembly, OverrideInterceptsExactlyTheOutOfDomainCells) {
-  Grid g(2, 1, 1, 8, 1.0);
-  tag_grid(g);
-  const auto bc = BoundaryConditions::all(BCType::kAbsorbing);
-
-  // Synthetic cluster intercept with fetch_remote semantics: fills any
-  // out-of-domain coordinate with a recognizable tag, declines in-domain
-  // coordinates (the local fold serves those).
-  long calls = 0, in_domain_calls = 0;
-  const std::function<bool(int, int, int, Cell&)> override_fn =
-      [&](int ix, int iy, int iz, Cell& c) {
-        ++calls;
-        const bool outside = ix < 0 || ix >= g.cells_x() || iy < 0 ||
-                             iy >= g.cells_y() || iz < 0 || iz >= g.cells_z();
-        if (!outside) {
-          ++in_domain_calls;
-          return false;
-        }
-        c = Cell{};
-        c.rho = static_cast<Real>(-1000 - ix - 10 * iy - 100 * iz);
-        return true;
-      };
-
-  BlockLab oracle, bulk;
-  oracle.resize(8);
-  bulk.resize(8);
-  for (int bx = 0; bx < 2; ++bx) {
-    SCOPED_TRACE(testing::Message() << "block x " << bx);
-    // The per-cell oracle (the fetch the bulk load replaced) consults the
-    // override for *every* ghost cell, in-domain ones included.
-    oracle.load(g, bx, 0, 0, [&](int ix, int iy, int iz) {
-      Cell c;
-      if (override_fn(ix, iy, iz, c)) return c;
-      return g.cell_folded(ix, iy, iz, bc);
-    });
-    const long oracle_calls = calls;
-    calls = in_domain_calls = 0;
-    bulk.load(g, bx, 0, 0, bc, &override_fn);
-    expect_labs_bitwise(oracle, bulk);
-    // The bulk path must route only the out-of-domain subset through it.
-    EXPECT_EQ(in_domain_calls, 0);
-    EXPECT_GT(calls, 0);
-    EXPECT_LT(calls, oracle_calls);
-    calls = in_domain_calls = 0;
-  }
-}
-
-TEST(LabAssembly, DecliningOverrideFallsBackToLocalFold) {
-  Grid g(2, 1, 1, 8, 1.0);
-  tag_grid(g);
-  const auto bc = BoundaryConditions::all(BCType::kPeriodic);
-  const std::function<bool(int, int, int, Cell&)> decline =
-      [](int, int, int, Cell&) { return false; };
-  BlockLab plain, declined;
-  plain.resize(8);
-  declined.resize(8);
-  plain.load(g, 1, 0, 0, bc);
-  declined.load(g, 1, 0, 0, bc, &decline);
-  expect_labs_bitwise(plain, declined);
-}
-
-TEST(LabAssembly, ClusterFetchRemoteInterceptMatchesPerCellPath) {
-  // The real cluster override: a 2x1x1 rank split with exchanged halos.
+/// Global-grid oracle for a rank's halo ghosts: a tagged global grid is
+/// scattered over `topo`, one exchange fills the slabs, and every lab cell
+/// of every rank block with at most one axis outside the rank's box must
+/// equal, bitwise, the lab of the same global block loaded from the gathered
+/// grid under the global BCs.
+void check_rank_labs_against_global(cluster::CartTopology topo, const BoundaryConditions& bc) {
+  constexpr int kBs = 8;
+  const int gb[3] = {2 * topo.rx, 2 * topo.ry, 2 * topo.rz};
   Simulation::Params p;
   p.extent = 1.0;
-  p.bc = BoundaryConditions::all(BCType::kPeriodic);
-  auto cs = std::make_unique<cluster::ClusterSimulation>(4, 2, 2, 8,
-                                                         cluster::CartTopology(2, 1, 1), p);
-  for (int r = 0; r < 2; ++r) tag_grid(cs->rank_sim(r).grid());
+  p.bc = bc;
+  auto cs = std::make_unique<cluster::ClusterSimulation>(gb[0], gb[1], gb[2], kBs, topo, p);
+  Grid global(gb[0], gb[1], gb[2], kBs, 1.0);
+  tag_grid(global);
+  cs->scatter(global);
   cs->exchange_halos();
+  Grid gathered(gb[0], gb[1], gb[2], kBs, 1.0);
+  cs->gather(gathered);
 
-  BlockLab oracle, bulk;
-  oracle.resize(8);
-  bulk.resize(8);
-  for (int r = 0; r < 2; ++r) {
-    Grid& g = cs->rank_sim(r).grid();
-    // fetch_remote takes global coordinates; the lab hands out rank-local
-    // ones — translate by the rank's box origin, as the cluster layer does.
-    int cx, cy, cz;
-    cs->topology().coords(r, cx, cy, cz);
-    const int ox = cx * g.cells_x(), oy = cy * g.cells_y(), oz = cz * g.cells_z();
-    const std::function<bool(int, int, int, Cell&)> remote =
-        [&, r, ox, oy, oz](int ix, int iy, int iz, Cell& c) {
-          return cs->fetch_remote(r, ix + ox, iy + oy, iz + oz, c);
-        };
+  BlockLab rank_lab, global_lab;
+  rank_lab.resize(kBs);
+  global_lab.resize(kBs);
+  long compared = 0;
+  for (int r = 0; r < topo.size(); ++r) {
+    const Simulation& sim = cs->rank_sim(r);
+    const Grid& g = sim.grid();
+    const int n[3] = {g.cells_x(), g.cells_y(), g.cells_z()};
+    int rc[3];
+    topo.coords(r, rc[0], rc[1], rc[2]);
     for (int bz = 0; bz < g.blocks_z(); ++bz)
       for (int by = 0; by < g.blocks_y(); ++by)
         for (int bx = 0; bx < g.blocks_x(); ++bx) {
           SCOPED_TRACE(testing::Message()
                        << "rank " << r << " block (" << bx << "," << by << "," << bz << ")");
-          oracle.load(g, bx, by, bz, [&](int ix, int iy, int iz) {
-            Cell c;
-            if (remote(ix, iy, iz, c)) return c;
-            return g.cell_folded(ix, iy, iz, p.bc);
-          });
-          bulk.load(g, bx, by, bz, p.bc, &remote);
-          expect_labs_bitwise(oracle, bulk);
+          rank_lab.load(g, bx, by, bz, sim.params().bc, &cs->halo_slabs(r));
+          global_lab.load(gathered, bx + rc[0] * g.blocks_x(), by + rc[1] * g.blocks_y(),
+                          bz + rc[2] * g.blocks_z(), bc);
+          const int b[3] = {bx, by, bz};
+          for (int iz = -kGhosts; iz < kBs + kGhosts; ++iz)
+            for (int iy = -kGhosts; iy < kBs + kGhosts; ++iy)
+              for (int ix = -kGhosts; ix < kBs + kGhosts; ++ix) {
+                const int i[3] = {ix, iy, iz};
+                int out = 0;
+                for (int a = 0; a < 3; ++a) {
+                  const int c = b[a] * kBs + i[a];
+                  out += c < 0 || c >= n[a];
+                }
+                if (out > 1) continue;
+                for (int q = 0; q < kNumQuantities; ++q)
+                  ASSERT_EQ(rank_lab(q, ix, iy, iz), global_lab(q, ix, iy, iz))
+                      << "q=" << q << " (" << ix << "," << iy << "," << iz << ")";
+                ++compared;
+              }
         }
   }
+  EXPECT_GT(compared, 0);
+}
+
+TEST(LabAssembly, RankLabsMatchGlobalLabPeriodic2x1x1) {
+  check_rank_labs_against_global(cluster::CartTopology(2, 1, 1),
+                                 BoundaryConditions::all(BCType::kPeriodic));
+}
+
+TEST(LabAssembly, RankLabsMatchGlobalLabWallFloor2x2x1) {
+  // The cluster_halo workload's BCs: absorbing far field, a wall at z-low.
+  BoundaryConditions bc = BoundaryConditions::all(BCType::kAbsorbing);
+  bc.face[2][0] = BCType::kWall;
+  check_rank_labs_against_global(cluster::CartTopology(2, 2, 1), bc);
+}
+
+TEST(LabAssembly, RankLabsMatchGlobalLabAbsorbing1x2x2) {
+  check_rank_labs_against_global(cluster::CartTopology(1, 2, 2),
+                                 BoundaryConditions::all(BCType::kAbsorbing));
 }
 
 }  // namespace
